@@ -2,21 +2,20 @@ package web
 
 import (
 	"fmt"
+	"math"
 
 	"edisim/internal/autoscale"
 	"edisim/internal/sim"
-	"edisim/internal/stats"
 )
 
 // This file adapts a Deployment's web tier onto the autoscale.Pool
-// contract. When RunConfig.Autoscale arms the elasticity engine, routing
-// switches from the SLO reserve prefix (d.Web[next%d.active]) to an
-// explicit rotation slice the lifecycle manager edits; parked nodes are
-// powered off (hw.Node.PowerDown, zero draw), booting nodes burn busy
-// power for the platform's boot delay, and freshly joined nodes run at
-// the platform's warm-up factor until their caches are hot. With
-// Autoscale nil none of this code runs and the event stream is
-// byte-identical to builds without it.
+// contract. When RunConfig.Autoscale arms the elasticity engine, the
+// routing rotation becomes a slice the lifecycle manager edits; parked
+// nodes are powered off (hw.Node.PowerDown, zero draw), booting nodes burn
+// busy power for the platform's boot delay, and freshly joined nodes run at
+// the platform's warm-up factor until their caches are hot. With Autoscale
+// nil none of this code runs and Run's event stream is unchanged by it;
+// TestRunFingerprintsGolden pins that stream for runs with and without it.
 
 // fleetPool is the autoscale.Pool over a deployment's web servers. It
 // snapshots each node's busy floor and straggler factor at construction so
@@ -27,6 +26,11 @@ type fleetPool struct {
 	inRot      []bool
 	savedFloor []float64
 	savedSlow  []float64
+
+	// util integrates each web node's utilization from run start; prevBusy
+	// holds each integral at the previous SLO tick (see window).
+	util     *utilTracker
+	prevBusy []float64
 }
 
 func newFleetPool(d *Deployment) *fleetPool {
@@ -35,6 +39,7 @@ func newFleetPool(d *Deployment) *fleetPool {
 		inRot:      make([]bool, len(d.Web)),
 		savedFloor: make([]float64, len(d.Web)),
 		savedSlow:  make([]float64, len(d.Web)),
+		prevBusy:   make([]float64, len(d.Web)),
 	}
 	for i, w := range d.Web {
 		p.savedFloor[i] = w.Node.BusyFloor
@@ -121,47 +126,21 @@ func (p *fleetPool) restore() {
 	}
 }
 
-// tickUtil integrates each web node's CPU utilization continuously so the
-// SLO tick can hand the policy a windowed mean over the serving set —
-// instantaneous utilization of a few-core micro server is far too noisy to
-// size a fleet on.
-type tickUtil struct {
-	integs  []*stats.Integrator
-	prev    []float64
-	cancels []func()
-}
-
-func newTickUtil(d *Deployment) *tickUtil {
-	eng := d.Eng
-	now := float64(eng.Now())
-	tu := &tickUtil{
-		integs: make([]*stats.Integrator, len(d.Web)),
-		prev:   make([]float64, len(d.Web)),
-	}
-	for i, w := range d.Web {
-		tu.integs[i] = stats.NewIntegrator(now, w.Node.Utilization())
-		i := i
-		tu.cancels = append(tu.cancels, w.Node.SubscribeUtil(func(u float64) {
-			tu.integs[i].Set(float64(eng.Now()), u)
-		}))
-	}
-	return tu
-}
-
 // window reports the mean utilization and mean in-flight depth across the
 // current rotation for the window of the given length ending now, then
-// advances every node's baseline to now.
-func (tu *tickUtil) window(d *Deployment, pool *fleetPool, now sim.Time, window float64) (util, queue float64) {
-	nowF := float64(now)
+// advances every node's baseline to now. Utilization is integrated
+// continuously — instantaneous utilization of a few-core micro server is
+// far too noisy to size a fleet on.
+func (p *fleetPool) window(now sim.Time, window float64) (util, queue float64) {
 	n := 0
-	for i, w := range d.Web {
-		tot := tu.integs[i].Total(nowF)
-		if pool.inRot[i] {
-			util += (tot - tu.prev[i]) / window
+	for i, w := range p.d.Web {
+		tot := p.util.integs[i].Total(float64(now))
+		if p.inRot[i] {
+			util += (tot - p.prevBusy[i]) / window
 			queue += float64(w.inflight)
 			n++
 		}
-		tu.prev[i] = tot
+		p.prevBusy[i] = tot
 	}
 	if n > 0 {
 		util /= float64(n)
@@ -170,17 +149,10 @@ func (tu *tickUtil) window(d *Deployment, pool *fleetPool, now sim.Time, window 
 	return util, queue
 }
 
-func (tu *tickUtil) detach() {
-	for _, cancel := range tu.cancels {
-		cancel()
-	}
-}
-
 // armAutoscale resolves platform defaults into cfg.Autoscale, binds the
 // policy's capacity thresholds and starts the lifecycle manager over the
-// web tier. Returned pieces are owned by Run, which must call
-// teardownAutoscale when the run ends.
-func (d *Deployment) armAutoscale(cfg RunConfig) (*autoscale.Manager, *fleetPool, *tickUtil) {
+// web tier. Run must call teardownAutoscale when the run ends.
+func (d *Deployment) armAutoscale(cfg RunConfig) {
 	ac := *cfg.Autoscale
 	if ac.BootDelay == 0 {
 		ac.BootDelay = d.Plat.Boot.Delay
@@ -195,9 +167,9 @@ func (d *Deployment) armAutoscale(cfg RunConfig) (*autoscale.Manager, *fleetPool
 		ConnRate:    d.Plat.Web.ConnRate,
 		MaxInflight: d.Plat.Web.MaxInflight,
 	})
-	pool := newFleetPool(d)
+	d.pool = newFleetPool(d)
 	d.rotation = nil
-	mgr, err := autoscale.NewManager(d.Eng, pool, ac)
+	mgr, err := autoscale.NewManager(d.Eng, d.pool, ac)
 	if err != nil {
 		// Config.Validate ran in RunConfig.Validate; what reaches here is a
 		// pool-shape mismatch (e.g. MinServing above the tier size), which
@@ -205,14 +177,14 @@ func (d *Deployment) armAutoscale(cfg RunConfig) (*autoscale.Manager, *fleetPool
 		panic(err)
 	}
 	d.scaler = mgr
-	return mgr, pool, newTickUtil(d)
+	d.pool.util = trackMeanUtil(d.Eng, d.webNodes, d.Eng.Now(), sim.Time(math.Inf(1)))
 }
 
 // teardownAutoscale stops the manager (pending timers become no-ops) and
 // restores every node override so the deployment can run again.
-func (d *Deployment) teardownAutoscale(mgr *autoscale.Manager, pool *fleetPool, tu *tickUtil) {
-	mgr.Halt()
-	tu.detach()
-	pool.restore()
-	d.scaler = nil
+func (d *Deployment) teardownAutoscale() {
+	d.scaler.Halt()
+	d.pool.util.detach()
+	d.pool.restore()
+	d.scaler, d.pool = nil, nil
 }

@@ -4,15 +4,18 @@ import (
 	"fmt"
 	"math"
 
+	"edisim/internal/autoscale"
 	"edisim/internal/hw"
 	"edisim/internal/sim"
+	"edisim/internal/stats"
 )
 
 // This file is the overload-resilience layer: server-side admission
 // control (ShedPolicy), client-side retry budgets, and the SLO controller
 // (windowed quantiles, reserve activation, brownout). All of it is opt-in:
-// with the knobs at their zero values Run's event stream is byte-identical
-// to builds without this file.
+// with the knobs at their zero values it adds no event, RNG draw or routing
+// change to Run; TestRunFingerprintsGolden pins Run's event stream for runs
+// with the knobs off and on.
 
 // ShedMode selects the admission-control policy a web server applies
 // before committing a worker thread to a request.
@@ -199,6 +202,109 @@ type SLOWindow struct {
 	Burning      bool
 	Brownout     bool
 	Active       int // web servers in the routing rotation after reacting
+}
+
+// sloController is one run's SLO controller: every Window seconds it
+// judges the window's quantile and availability, reacts (activate a
+// reserve server, engage brownout; under autoscale, hand the window's
+// signals to the lifecycle manager instead of activating reserves), and
+// winds back after two consecutive healthy windows.
+type sloController struct {
+	d          *Deployment
+	slo        SLO
+	base       int // rotation size the reserve winds back to
+	healthy    int // consecutive healthy windows
+	brownoutAt sim.Time
+	tickFn     func()
+}
+
+// startSLO arms the controller for the current run, holding any reserve
+// out of the routing rotation.
+func (d *Deployment) startSLO(cfg *SLO) {
+	s := &sloController{d: d, slo: cfg.withDefaults(), base: len(d.Web)}
+	if s.slo.Reserve > 0 {
+		s.base = max(len(d.Web)-s.slo.Reserve, 1)
+		d.rotation = d.Web[:s.base]
+	}
+	d.sloDig = stats.NewDigest()
+	d.res.ActivePeak = len(d.rotation)
+	s.tickFn = s.tick
+	d.Eng.After(s.slo.Window, s.tickFn)
+}
+
+func (s *sloController) tick() {
+	d, res := s.d, s.d.res
+	now := d.Eng.Now()
+	q := d.sloDig.Quantile(s.slo.Percentile)
+	avail := 1.0
+	if d.ovl.winOps > 0 {
+		avail = float64(d.ovl.winServed) / float64(d.ovl.winOps)
+	}
+	burning := (d.sloDig.N() > 0 && q > s.slo.Latency) ||
+		(d.ovl.winOps > 0 && s.slo.Availability > 0 && avail < s.slo.Availability)
+	if burning {
+		s.healthy = 0
+		if d.inWindow() {
+			res.SLOBreaches++
+		}
+		if d.scaler == nil && len(d.rotation) < len(d.Web) {
+			d.rotation = d.Web[:len(d.rotation)+1]
+		}
+		if s.slo.Brownout && !d.brownout {
+			d.brownout = true
+			s.brownoutAt = now
+		}
+	} else {
+		s.healthy++
+		if s.healthy >= 2 {
+			if d.brownout {
+				d.brownout = false
+				res.BrownoutSecs += float64(now - s.brownoutAt)
+			}
+			if d.scaler == nil && len(d.rotation) > s.base {
+				d.rotation = d.rotation[:len(d.rotation)-1]
+			}
+		}
+	}
+	if d.scaler != nil {
+		// The policy sees this window's signals and the manager moves
+		// servers through boot/drain/park around them.
+		util, queue := d.pool.window(now, s.slo.Window)
+		d.scaler.Observe(autoscale.Signals{
+			T:            float64(now - d.start),
+			Util:         util,
+			Queue:        queue,
+			ShedRate:     float64(d.ovl.winShed) / s.slo.Window,
+			ArrivalRate:  float64(d.ovl.winArr) / s.slo.Window,
+			Quantile:     q,
+			Availability: avail,
+			Burning:      burning,
+		})
+	}
+	active := len(d.rotation)
+	res.ActivePeak = max(res.ActivePeak, active)
+	if s.slo.Observer != nil {
+		s.slo.Observer(SLOWindow{
+			T:            float64(now - d.start),
+			Served:       d.ovl.winServed,
+			Ops:          d.ovl.winOps,
+			Shed:         d.ovl.winShed,
+			Quantile:     q,
+			Availability: avail,
+			Burning:      burning,
+			Brownout:     d.brownout,
+			Active:       active,
+		})
+	}
+	d.sloDig.Reset()
+	d.ovl.winServed, d.ovl.winOps, d.ovl.winShed, d.ovl.winArr = 0, 0, 0, 0
+	if now < d.winEnd {
+		d.Eng.After(s.slo.Window, s.tickFn)
+	} else if d.brownout {
+		// Close the books on a brownout still engaged at run end.
+		d.brownout = false
+		res.BrownoutSecs += float64(now - s.brownoutAt)
+	}
 }
 
 // withDefaults resolves unset SLO knobs.

@@ -17,7 +17,7 @@ import (
 // continuations pre-bound once when the record is created — the same
 // pattern as netsim's pooled message and Flow records — so the steady-state
 // request path is 0 allocs/op (CI-pinned). Records come from a Deployment
-// freelist grown in chunks and are recycled when the reply (or the 500)
+// freelist grown in chunks (take) and are recycled when the reply (or the 500)
 // fully arrives. A request stranded by a crash or cut link mid-chain never
 // reaches a recycling continuation; its record is simply lost to the pool,
 // like the request itself.
@@ -28,7 +28,8 @@ type webReq struct {
 	db        *DBServer
 	client    string
 	imageFrac float64
-	done      func(bool)
+	seq       uint64
+	done      func(seq uint64, ok bool)
 
 	k          rowKey
 	rowSize    units.Bytes // row size on the chosen table (miss reply size)
@@ -45,39 +46,34 @@ type webReq struct {
 	dbDoneFn, assembledFn, okFn, errFn, shedFn            func()
 }
 
-// reqChunk is how many request records the freelist grows by at once.
-const reqChunk = 64
+// poolChunk is how many records a freelist grows by at once.
+const poolChunk = 64
 
-// allocReq takes a request record from the freelist, growing it when empty.
-func (d *Deployment) allocReq() *webReq {
-	if len(d.freeReqs) == 0 {
-		chunk := make([]webReq, reqChunk)
+// take pops a record from a freelist, growing it by a chunk of records
+// whose continuations are bound once (bind) when empty.
+func take[T any, P interface {
+	*T
+	bind(*Deployment)
+}](free *[]P, d *Deployment) P {
+	if len(*free) == 0 {
+		chunk := make([]T, poolChunk)
 		for i := range chunk {
-			r := &chunk[i]
-			r.d = d
-			r.arrivedFn = r.arrivedAtWeb
-			r.startFn = r.start
-			r.prologueFn = r.prologueDone
-			r.atCacheFn = r.arrivedAtCache
-			r.cacheGetFn = r.cacheLooked
-			r.hitReturnFn = r.hitReturned
-			r.hitDoneFn = r.hitUnmarshaled
-			r.missReturnFn = r.missReturned
-			r.atDBFn = r.arrivedAtDB
-			r.dbCPUFn = r.dbComputed
-			r.dbReadFn = r.dbRead
-			r.dbReturnFn = r.dbReturned
-			r.dbDoneFn = r.dbUnmarshaled
-			r.assembledFn = r.assembled
-			r.okFn = r.deliverOK
-			r.errFn = r.deliverErr
-			r.shedFn = r.shedComputed
-			d.freeReqs = append(d.freeReqs, r)
+			r := P(&chunk[i])
+			r.bind(d)
+			*free = append(*free, r)
 		}
 	}
-	r := d.freeReqs[len(d.freeReqs)-1]
-	d.freeReqs = d.freeReqs[:len(d.freeReqs)-1]
+	r := (*free)[len(*free)-1]
+	*free = (*free)[:len(*free)-1]
 	return r
+}
+
+func (r *webReq) bind(d *Deployment) {
+	r.d = d
+	r.arrivedFn, r.startFn, r.prologueFn, r.atCacheFn, r.cacheGetFn = r.arrivedAtWeb, r.start, r.prologueDone, r.arrivedAtCache, r.cacheLooked
+	r.hitReturnFn, r.hitDoneFn = r.hitReturned, r.hitUnmarshaled
+	r.missReturnFn, r.atDBFn, r.dbCPUFn, r.dbReadFn, r.dbReturnFn = r.missReturned, r.arrivedAtDB, r.dbComputed, r.dbRead, r.dbReturned
+	r.dbDoneFn, r.assembledFn, r.okFn, r.errFn, r.shedFn = r.dbUnmarshaled, r.assembled, r.deliverOK, r.deliverErr, r.shedComputed
 }
 
 // recycleReq returns the record to the pool, releasing callback and server
@@ -91,14 +87,16 @@ func (d *Deployment) recycleReq(r *webReq) {
 }
 
 // request drives one HTTP request through the stack on a pooled record.
-// done(ok) runs at the client when the reply (or the 500) fully arrives.
-// The web-server-side interval and the cache/DB sub-intervals feed the
-// Table 7 decomposition.
-func (d *Deployment) request(client string, w *WebServer, cfg RunConfig, done func(bool)) {
-	r := d.allocReq()
+// done(seq, ok) runs at the client when the reply (or the 500) fully
+// arrives; seq is handed back as given so the caller can tell a reply to an
+// abandoned attempt from the live one. The web-server-side interval and the
+// cache/DB sub-intervals feed the Table 7 decomposition.
+func (d *Deployment) request(client string, w *WebServer, imageFrac float64, seq uint64, done func(uint64, bool)) {
+	r := take(&d.freeReqs, d)
 	r.w = w
 	r.client = client
-	r.imageFrac = cfg.ImageFrac
+	r.imageFrac = imageFrac
+	r.seq = seq
 	r.done = done
 	d.Fab.Send(client, w.Node.ID, requestBytes, r.arrivedFn)
 }
@@ -177,7 +175,7 @@ func (r *webReq) hitReturned() {
 }
 
 func (r *webReq) hitUnmarshaled() {
-	r.d.recordCacheDelay(float64(r.d.Eng.Now() - r.cacheStart))
+	r.d.cacheDelay.Add(float64(r.d.Eng.Now() - r.cacheStart))
 	r.finish(r.replySize)
 }
 
@@ -191,7 +189,7 @@ const degradedReplyBytes = 512
 // page and skips the DB trip entirely.
 func (r *webReq) missReturned() {
 	d := r.d
-	d.recordCacheDelay(float64(d.Eng.Now() - r.cacheStart))
+	d.cacheDelay.Add(float64(d.Eng.Now() - r.cacheStart))
 	if d.brownout {
 		d.noteDegraded()
 		r.finish(degradedReplyBytes)
@@ -222,7 +220,7 @@ func (r *webReq) dbReturned() {
 }
 
 func (r *webReq) dbUnmarshaled() {
-	r.d.recordDBDelay(float64(r.d.Eng.Now() - r.dbStart))
+	r.d.dbDelay.Add(float64(r.d.Eng.Now() - r.dbStart))
 	r.finish(r.rowSize)
 }
 
@@ -237,7 +235,7 @@ func (r *webReq) finish(size units.Bytes) {
 
 func (r *webReq) assembled() {
 	d := r.d
-	d.recordWebTotal(float64(d.Eng.Now() - r.arrived))
+	d.webTotal.Add(float64(d.Eng.Now() - r.arrived))
 	r.w.finishRequest(true)
 	d.Fab.Send(r.w.Node.ID, r.client, r.replySize+256, r.okFn)
 }
@@ -245,24 +243,19 @@ func (r *webReq) assembled() {
 // deliverOK/deliverErr run at the client on full arrival of the reply/500:
 // recycle first so the callback can immediately reuse the record.
 func (r *webReq) deliverOK() {
-	done := r.done
+	done, seq := r.done, r.seq
 	r.d.recycleReq(r)
-	done(true)
+	done(seq, true)
 }
 
 func (r *webReq) deliverErr() {
-	done := r.done
+	done, seq := r.done, r.seq
 	r.d.recycleReq(r)
-	done(false)
+	done(seq, false)
 }
 
-// Table 7 decomposition accumulators. They live on the Deployment and are
-// harvested/reset by Run.
-func (d *Deployment) recordDBDelay(v float64)    { d.dbDelay.Add(v) }
-func (d *Deployment) recordCacheDelay(v float64) { d.cacheDelay.Add(v) }
-func (d *Deployment) recordWebTotal(v float64)   { d.webTotal.Add(v) }
-
-// decomposition state (reset per run).
+// decomposition holds the Table 7 accumulators; Run harvests and resets
+// them.
 type decomposition struct {
 	dbDelay, cacheDelay, webTotal stats.Summary
 }

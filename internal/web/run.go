@@ -44,6 +44,8 @@ type Deployment struct {
 	DBs     []*DBServer
 	Clients []string
 
+	webNodes, cacheNodes []*hw.Node // the Web and Cache servers' nodes, in order
+
 	meter *power.Meter
 
 	rnd struct {
@@ -54,30 +56,48 @@ type Deployment struct {
 	// the current run (threads and ports are held for transfer durations).
 	loadFactor float64
 
-	// freeReqs is the pooled webReq freelist (see request.go).
-	freeReqs []*webReq
+	// Pooled request, connection and SYN records (see request.go, conn.go).
+	freeReqs  []*webReq
+	freeConns []*webConn
+	freeSyns  []*synTag
+
+	// Per-run state, set by Run: the resolved config, the result the
+	// connections report into, in-window successful operations, the run's
+	// start, and the connection generator (open-loop arrivals, nil for the
+	// closed loop; the pending arrival; the round-robin cursor; the
+	// pre-bound arrive).
+	cfg      RunConfig
+	res      *Result
+	served   int64
+	start    sim.Time
+	arrivals *load.Arrivals
+	arrival  sim.EventRef
+	next     int
+	arriveFn func()
+
+	// rotation is the routing rotation new connections cycle through: all
+	// of Web, a prefix of it while the SLO controller holds a reserve back,
+	// or the serving set the autoscale manager edits.
+	rotation []*WebServer
 
 	// Overload-resilience state, reset by Run and inert at its zero values
 	// (see overload.go): the resolved shedding policy and the CPU cost of
-	// one fast-fail rejection, the active routing-rotation prefix of Web,
-	// the brownout flag, the client retry budget, the SLO controller's
-	// window digest, the measurement window bounds for gating, and the
-	// overload counters.
+	// one fast-fail rejection, the brownout flag, the client retry budget,
+	// the SLO controller's window digest, the measurement window bounds for
+	// gating, and the overload counters.
 	shed             ShedPolicy
 	fastFailCPU      float64
-	active           int
 	brownout         bool
 	budget           retryBudget
 	sloDig           *stats.Digest
 	winStart, winEnd sim.Time
 	ovl              overloadCounters
 
-	// Elasticity state (see autoscale.go), nil/empty unless
-	// RunConfig.Autoscale arms the lifecycle manager: the manager itself
-	// and the explicit routing rotation that replaces the d.active prefix
-	// while it runs.
-	scaler   *autoscale.Manager
-	rotation []*WebServer
+	// Elasticity state (see autoscale.go), nil unless RunConfig.Autoscale
+	// arms the lifecycle manager: the manager and its pool over the web
+	// tier.
+	scaler *autoscale.Manager
+	pool   *fleetPool
 
 	decomposition
 }
@@ -95,13 +115,13 @@ func NewDeployment(tb *cluster.Testbed, p *hw.Platform, nWeb, nCache int, seed i
 // on cachePlat's. When the platforms coincide this is exactly NewDeployment:
 // both tiers split one node group, web servers first.
 func NewTieredDeployment(tb *cluster.Testbed, webPlat *hw.Platform, nWeb int, cachePlat *hw.Platform, nCache int, seed int64) *Deployment {
-	var webNodes, cacheNodes []*hw.Node
+	d := &Deployment{Eng: tb.Eng, Fab: tb.Fab, Params: DefaultParams(), Plat: webPlat, CachePlat: cachePlat, Clients: tb.Clients, loadFactor: 1}
 	if webPlat == cachePlat {
 		pool := tb.Nodes(webPlat)
 		if nWeb+nCache > len(pool) {
 			panic(fmt.Sprintf("web: need %d %s nodes, testbed has %d", nWeb+nCache, webPlat.Name, len(pool)))
 		}
-		webNodes, cacheNodes = pool[:nWeb], pool[nWeb:nWeb+nCache]
+		d.webNodes, d.cacheNodes = pool[:nWeb], pool[nWeb:nWeb+nCache]
 	} else {
 		wp, cp := tb.Nodes(webPlat), tb.Nodes(cachePlat)
 		if nWeb > len(wp) {
@@ -110,16 +130,15 @@ func NewTieredDeployment(tb *cluster.Testbed, webPlat *hw.Platform, nWeb int, ca
 		if nCache > len(cp) {
 			panic(fmt.Sprintf("web: need %d %s cache nodes, testbed has %d", nCache, cachePlat.Name, len(cp)))
 		}
-		webNodes, cacheNodes = wp[:nWeb], cp[:nCache]
+		d.webNodes, d.cacheNodes = wp[:nWeb], cp[:nCache]
 	}
 	if len(tb.DB) == 0 || len(tb.Clients) == 0 {
 		panic("web: testbed needs DB servers and clients")
 	}
-	d := &Deployment{Eng: tb.Eng, Fab: tb.Fab, Params: DefaultParams(), Plat: webPlat, CachePlat: cachePlat, Clients: tb.Clients, loadFactor: 1}
-	for _, n := range webNodes {
+	for _, n := range d.webNodes {
 		d.Web = append(d.Web, newWebServer(d, n))
 	}
-	for _, n := range cacheNodes {
+	for _, n := range d.cacheNodes {
 		d.Cache = append(d.Cache, newCacheServer(d, n))
 	}
 	for _, n := range tb.DB {
@@ -129,7 +148,8 @@ func NewTieredDeployment(tb *cluster.Testbed, webPlat *hw.Platform, nWeb int, ca
 	if cachePlat != webPlat {
 		meterName = webPlat.Label + "+" + cachePlat.Label + "-tier"
 	}
-	d.meter = power.NewMeter(meterName, append(append([]*hw.Node(nil), webNodes...), cacheNodes...))
+	d.arriveFn = d.arrive
+	d.meter = power.NewMeter(meterName, append(append([]*hw.Node(nil), d.webNodes...), d.cacheNodes...))
 	root := rng.New(seed)
 	d.rnd.arrival = root.Derive("web/arrival")
 	d.rnd.table = root.Derive("web/table")
@@ -387,21 +407,13 @@ func (d *Deployment) Run(cfg RunConfig) Result {
 		panic(err)
 	}
 	cfg = cfg.withDefaults()
-	// ft gates every piece of recovery machinery: with it false the run's
-	// event stream is byte-identical to the pre-fault-injection code.
-	ft := cfg.RequestTimeout > 0
-	// openLoop switches the generator to profiled arrivals; exact per-request
-	// Sample retention is then dropped in favor of the bounded digest so
-	// million-request runs stay flat in memory.
-	openLoop := cfg.Profile != nil
-	exact := !openLoop
 	eng := d.Eng
 	d.loadFactor = 1 + d.Params.TransferPenaltyPerKB*AvgReplyBytes(cfg.ImageFrac)/1024
 
-	res := Result{Config: cfg, Delays: &stats.Sample{}, ConnDelays: &stats.Sample{}, Latency: stats.NewDigest()}
+	res := &Result{Config: cfg, Delays: &stats.Sample{}, ConnDelays: &stats.Sample{}, Latency: stats.NewDigest()}
 	winStart := eng.Now() + sim.Time(cfg.Duration*cfg.WarmupFrac)
 	winEnd := eng.Now() + sim.Time(cfg.Duration)
-	inWindow := func() bool { return eng.Now() >= winStart && eng.Now() <= winEnd }
+	d.cfg, d.res, d.served, d.start, d.next = cfg, res, 0, eng.Now(), 0
 
 	// Overload-resilience state (inert at the zero knobs: no extra events,
 	// no extra RNG draws, identical routing).
@@ -411,491 +423,63 @@ func (d *Deployment) Run(cfg RunConfig) Result {
 		d.shed = cfg.Shed.withDefaults(d.Plat.Web)
 		d.fastFailCPU = d.shed.FastFailFrac * (d.Plat.Web.BaseCPU + d.Plat.Web.ReplyCPU)
 	}
-	budgeted := ft && cfg.RetryBudget > 0
 	d.budget = retryBudget{rate: cfg.RetryBudget, tokens: retryBurst}
-	d.active = len(d.Web)
+	d.rotation = d.Web
 	d.brownout = false
 	d.sloDig = nil
 	d.ovl = overloadCounters{}
 
-	// Elasticity: the lifecycle manager takes over routing through
-	// d.rotation (the SLO tick feeds it windowed signals below), parked
-	// nodes power off and booting nodes burn busy draw — all inside the
-	// same meter, so MeanPower/Energy price provisioning overhead too.
-	var asMgr *autoscale.Manager
-	var asPool *fleetPool
-	var asUtil *tickUtil
-	var asIntegWinStart, asIntegWinEnd float64
+	// Elasticity: the lifecycle manager takes over the routing rotation
+	// (the SLO tick feeds it windowed signals), parked nodes power off and
+	// booting nodes burn busy draw — all inside the same meter, so
+	// MeanPower/Energy price provisioning overhead too.
+	var servingAtStart, servingAtEnd float64
 	if cfg.Autoscale != nil {
-		asMgr, asPool, asUtil = d.armAutoscale(cfg)
-		eng.At(winStart, func() { asIntegWinStart = asMgr.ServingIntegral(winStart) })
-		eng.At(winEnd, func() { asIntegWinEnd = asMgr.ServingIntegral(winEnd) })
+		d.armAutoscale(cfg)
+		eng.At(winStart, func() { servingAtStart = d.scaler.ServingIntegral(winStart) })
+		eng.At(winEnd, func() { servingAtEnd = d.scaler.ServingIntegral(winEnd) })
 	}
-
-	var served, errored, attempts int64
 
 	// Window power accounting.
 	var winEnergy float64
 	eng.At(winStart, func() { d.meter.Reset() })
-	eng.At(winEnd, func() {
-		winEnergy = float64(d.meter.Energy())
-	})
+	eng.At(winEnd, func() { winEnergy = float64(d.meter.Energy()) })
 	// Integrate tier utilizations over the window for the §5.1.2 CPU
 	// numbers. Tracking is change-driven (hw.Node.SubscribeUtil), so heavy
 	// runs do not pay for a polling timer and the means are exact.
-	webUtil := trackMeanUtil(eng, d.webNodes(), winStart, winEnd)
-	cacheUtil := trackMeanUtil(eng, d.cacheNodes(), winStart, winEnd)
+	webUtil := trackMeanUtil(eng, d.webNodes, winStart, winEnd)
+	cacheUtil := trackMeanUtil(eng, d.cacheNodes, winStart, winEnd)
 	defer webUtil.detach()
 	defer cacheUtil.detach()
 
-	// SLO controller: every Window seconds, judge the window's quantile and
-	// availability, react (activate a reserve server, engage brownout), and
-	// wind back after two consecutive healthy windows.
-	sloOn := cfg.SLO != nil
-	if sloOn {
-		slo := cfg.SLO.withDefaults()
-		baseActive := len(d.Web)
-		if slo.Reserve > 0 {
-			baseActive -= slo.Reserve
-			if baseActive < 1 {
-				baseActive = 1
-			}
-			d.active = baseActive
-		}
-		d.sloDig = stats.NewDigest()
-		res.ActivePeak = d.active
-		if asMgr != nil {
-			res.ActivePeak = len(d.rotation)
-		}
-		runStart := eng.Now()
-		healthy := 0
-		var brownoutAt sim.Time
-		var tick func()
-		tick = func() {
-			now := eng.Now()
-			q := d.sloDig.Quantile(slo.Percentile)
-			avail := 1.0
-			if d.ovl.winOps > 0 {
-				avail = float64(d.ovl.winServed) / float64(d.ovl.winOps)
-			}
-			burning := (d.sloDig.N() > 0 && q > slo.Latency) ||
-				(d.ovl.winOps > 0 && slo.Availability > 0 && avail < slo.Availability)
-			if burning {
-				healthy = 0
-				if inWindow() {
-					res.SLOBreaches++
-				}
-				if asMgr == nil && d.active < len(d.Web) {
-					d.active++
-				}
-				if slo.Brownout && !d.brownout {
-					d.brownout = true
-					brownoutAt = now
-				}
-			} else {
-				healthy++
-				if healthy >= 2 {
-					if d.brownout {
-						d.brownout = false
-						res.BrownoutSecs += float64(now - brownoutAt)
-					}
-					if asMgr == nil && d.active > baseActive {
-						d.active--
-					}
-				}
-			}
-			activeNow := d.active
-			if asMgr != nil {
-				// Autoscale replaces the reserve reaction above: the policy
-				// sees this window's signals and the manager moves servers
-				// through boot/drain/park around them.
-				util, queue := asUtil.window(d, asPool, now, slo.Window)
-				asMgr.Observe(autoscale.Signals{
-					T:            float64(now - runStart),
-					Util:         util,
-					Queue:        queue,
-					ShedRate:     float64(d.ovl.winShed) / slo.Window,
-					ArrivalRate:  float64(d.ovl.winArr) / slo.Window,
-					Quantile:     q,
-					Availability: avail,
-					Burning:      burning,
-				})
-				activeNow = len(d.rotation)
-			}
-			if activeNow > res.ActivePeak {
-				res.ActivePeak = activeNow
-			}
-			if slo.Observer != nil {
-				slo.Observer(SLOWindow{
-					T:            float64(now - runStart),
-					Served:       d.ovl.winServed,
-					Ops:          d.ovl.winOps,
-					Shed:         d.ovl.winShed,
-					Quantile:     q,
-					Availability: avail,
-					Burning:      burning,
-					Brownout:     d.brownout,
-					Active:       activeNow,
-				})
-			}
-			d.sloDig.Reset()
-			d.ovl.winServed, d.ovl.winOps, d.ovl.winShed, d.ovl.winArr = 0, 0, 0, 0
-			if now < winEnd {
-				eng.After(slo.Window, tick)
-			} else if d.brownout {
-				// Close the books on a brownout still engaged at run end.
-				d.brownout = false
-				res.BrownoutSecs += float64(now - brownoutAt)
-			}
-		}
-		eng.After(slo.Window, tick)
+	if cfg.SLO != nil {
+		d.startSLO(cfg.SLO)
 	}
+	d.arrivals = nil
+	if cfg.Profile != nil {
+		d.arrivals = load.NewArrivals(cfg.Profile, d.rnd.arrival, cfg.Duration)
+	}
+	d.nextArrival()
 
-	// Connection generator: Poisson arrivals at Concurrency conn/s spread
-	// over the client machines, each conn routed round-robin by HAProxy.
-	// With recovery on, the balancer health-checks: a conn aimed at a dead
-	// server is steered to the next live one in ring order (identical
-	// routing while everything is up).
-	next := 0
-	var gen func()
-	stopGen := eng.Now() + sim.Time(cfg.Duration)
-	var launch func(client string, w *WebServer)
-	// fire starts one connection from the next client at the next web server
-	// in the routing rotation: the explicit d.rotation slice when autoscale
-	// is armed, else the d.Web prefix (only the SLO controller ever shrinks
-	// that prefix below the full tier).
-	fire := func() {
-		client := d.Clients[next%len(d.Clients)]
-		var w *WebServer
-		if d.scaler != nil {
-			d.ovl.winArr++
-			w = d.rotation[next%len(d.rotation)]
-		} else {
-			w = d.Web[next%d.active]
-		}
-		next++
-		if ft && !w.Node.Up() {
-			if nl := d.nextLive(w); nl != nil {
-				w = nl
-			}
-		}
-		launch(client, w)
-	}
-	gen = func() {
-		if eng.Now() >= stopGen {
-			return
-		}
-		fire()
-		eng.After(d.rnd.arrival.Exp(1/cfg.Concurrency), gen)
-	}
-
-	// launch drives one connection: SYN (with kernel retries), then
-	// CallsPerConn sequential requests.
-	launch = func(client string, w *WebServer) {
-		connStart := eng.Now()
-		attempt := 0
-		var try func()
-		established := func(conn *WebServer) {
-			// Run the request loop; record the conn setup + first reply
-			// delay in ConnDelays (the python-logger view of Figs 10–11).
-			call := 0
-			var doCall func()
-			if !ft {
-				doCall = func() {
-					if call >= cfg.CallsPerConn {
-						conn.closeConn()
-						return
-					}
-					call++
-					first := call == 1
-					reqStart := eng.Now()
-					attempts++
-					d.request(client, conn, cfg, func(ok bool) {
-						delay := float64(eng.Now() - reqStart)
-						d.noteSettled(ok, delay)
-						if inWindow() {
-							if ok {
-								served++
-								res.Latency.Add(delay)
-								if exact {
-									res.Delays.Add(delay)
-									if first {
-										res.ConnDelays.Add(float64(eng.Now() - connStart))
-									}
-								}
-							} else {
-								errored++
-							}
-						}
-						doCall()
-					})
-				}
-			} else {
-				// Recovery request loop: each call is a chain of attempts,
-				// each guarded by the client timeout; a timed-out attempt is
-				// abandoned (a late reply is ignored) and retried against a
-				// live server after capped exponential backoff.
-				doCall = func() {
-					if call >= cfg.CallsPerConn {
-						conn.closeConn()
-						return
-					}
-					call++
-					first := call == 1
-					reqStart := eng.Now()
-					settled := false
-					tryNo := 0
-					settle := func(ok bool) {
-						settled = true
-						delay := float64(eng.Now() - reqStart)
-						d.noteSettled(ok, delay)
-						if inWindow() {
-							if ok {
-								served++
-								res.Latency.Add(delay)
-								if exact {
-									res.Delays.Add(delay)
-									if first {
-										res.ConnDelays.Add(float64(eng.Now() - connStart))
-									}
-								}
-							} else {
-								errored++
-							}
-						}
-						doCall()
-					}
-					var tryReq func(srv *WebServer)
-					tryReq = func(srv *WebServer) {
-						tryNo++
-						id := tryNo
-						attempts++
-						res.Attempts++
-						if budgeted && id == 1 {
-							d.budget.deposit()
-						}
-						timer := eng.After(cfg.RequestTimeout, func() {
-							if settled || id != tryNo {
-								return
-							}
-							tryNo++ // abandon: the straggling reply is ignored
-							if inWindow() {
-								res.Timeouts++
-							}
-							if id > cfg.MaxRetries {
-								settle(false)
-								return
-							}
-							// The retry budget keeps a crash under peak from
-							// amplifying into a storm: no token, no retry —
-							// the operation fails fast instead.
-							if budgeted && !d.budget.spend() {
-								if inWindow() {
-									res.RetryDenied++
-								}
-								settle(false)
-								return
-							}
-							if inWindow() {
-								res.Retries++
-							}
-							backoff := cfg.RetryBase * float64(uint(1)<<uint(min(id-1, 3)))
-							eng.After(backoff, func() {
-								if settled {
-									return
-								}
-								nxt := srv
-								if !nxt.Node.Up() {
-									if nl := d.nextLive(nxt); nl != nil {
-										nxt = nl
-									}
-								}
-								tryReq(nxt)
-							})
-						})
-						d.request(client, srv, cfg, func(ok bool) {
-							if settled || id != tryNo {
-								return
-							}
-							timer.Cancel()
-							settle(ok)
-						})
-					}
-					start := conn
-					if !start.Node.Up() {
-						if nl := d.nextLive(start); nl != nil {
-							start = nl
-						}
-					}
-					tryReq(start)
-				}
-			}
-			doCall()
-		}
-		// refused delivers a shed SYN's RST: the client gives up immediately
-		// (no kernel retries), keeping the backlog below the thrash region.
-		refused := func(srv *WebServer) {
-			d.noteShed()
-			d.Fab.Send(srv.Node.ID, client, rpcHeaderBytes, func() {
-				d.ovl.winOps++
-				if inWindow() {
-					res.ConnFailures++
-					if exact {
-						res.ConnDelays.Add(float64(eng.Now() - connStart))
-					}
-				}
-			})
-		}
-		if !ft {
-			try = func() {
-				// SYN travels to the server; ~60 bytes.
-				d.Fab.Send(client, w.Node.ID, rpcHeaderBytes, func() {
-					if w.refuseConn() {
-						refused(w)
-						return
-					}
-					if w.admitConn(func() {
-						// SYN-ACK back, then the conn is usable.
-						d.Fab.Send(w.Node.ID, client, rpcHeaderBytes, func() { established(w) })
-					}) {
-						return
-					}
-					// Dropped: kernel retry schedule, then give up.
-					if attempt < len(d.Params.RetryBackoff) {
-						backoff := d.Params.RetryBackoff[attempt]
-						attempt++
-						eng.After(backoff, try)
-						return
-					}
-					d.ovl.winOps++
-					if inWindow() {
-						res.ConnFailures++
-						if exact {
-							res.ConnDelays.Add(float64(eng.Now() - connStart))
-						}
-					}
-				})
-			}
-		} else {
-			// Recovery handshake: a SYN or SYN-ACK lost to a cut link gets
-			// no feedback, so each attempt also arms the kernel retransmit
-			// timer; whichever fires first (explicit drop or timeout) drives
-			// the shared retry schedule, steering to a live server.
-			srv := w
-			synNo := 0
-			var est bool
-			giveUp := func() {
-				d.ovl.winOps++
-				if inWindow() {
-					res.ConnFailures++
-					if exact {
-						res.ConnDelays.Add(float64(eng.Now() - connStart))
-					}
-				}
-			}
-			dropped := func() {
-				synNo++ // invalidate the attempt's other outcome path
-				if attempt < len(d.Params.RetryBackoff) {
-					backoff := d.Params.RetryBackoff[attempt]
-					attempt++
-					eng.After(backoff, try)
-					return
-				}
-				giveUp()
-			}
-			try = func() {
-				if est {
-					return
-				}
-				if !srv.Node.Up() {
-					nl := d.nextLive(srv)
-					if nl == nil {
-						giveUp()
-						return
-					}
-					srv = nl
-				}
-				synNo++
-				id := synNo
-				target := srv
-				d.Fab.Send(client, target.Node.ID, rpcHeaderBytes, func() {
-					if est || id != synNo {
-						return
-					}
-					if target.refuseConn() {
-						synNo++ // RST settles the attempt; the retransmit timer is stale
-						refused(target)
-						return
-					}
-					if !target.admitConn(func() {
-						d.Fab.Send(target.Node.ID, client, rpcHeaderBytes, func() {
-							if est || id != synNo {
-								return
-							}
-							est = true
-							established(target)
-						})
-					}) {
-						dropped()
-					}
-				})
-				// Kernel retransmit timeout: reuse the backoff schedule's
-				// current step as the wait for the (possibly lost) SYN-ACK.
-				wait := d.Params.RetryBackoff[min(attempt, len(d.Params.RetryBackoff)-1)]
-				eng.After(wait, func() {
-					if est || id != synNo {
-						return
-					}
-					dropped()
-				})
-			}
-		}
-		try()
-	}
-	if openLoop {
-		// Open-loop pump: the profiled arrival process fires connections at
-		// absolute instants regardless of how the fleet is doing — the
-		// client population does not wait for responses.
-		arr := load.NewArrivals(cfg.Profile, d.rnd.arrival, cfg.Duration)
-		origin := eng.Now()
-		var pump func()
-		pump = func() {
-			at, ok := arr.Next()
-			if !ok {
-				return
-			}
-			eng.At(origin+sim.Time(at), func() {
-				if inWindow() {
-					res.Offered++
-				}
-				fire()
-				pump()
-			})
-		}
-		pump()
-	} else {
-		eng.After(d.rnd.arrival.Exp(1/cfg.Concurrency), gen)
-	}
-
-	// Run to completion: generation stops at Duration, stragglers drain.
+	// Run to completion: generation stops at Duration, stragglers drain. A
+	// closed-loop arrival drawn past the drain must not fire into a later
+	// run on this deployment.
 	eng.RunUntil(winEnd + sim.Time(20))
+	d.arrival.Cancel()
 
 	window := float64(winEnd - winStart)
-	res.Throughput = float64(served) / window
-	if exact {
+	res.Throughput = float64(d.served) / window
+	if cfg.Profile == nil {
 		res.MeanDelay = res.Delays.Mean()
 	} else {
 		res.MeanDelay = res.Latency.Mean()
 	}
-	res.Errors500 = errored
-	total := served + errored + res.ConnFailures
-	if total > 0 {
-		res.ErrorRate = float64(errored+res.ConnFailures) / float64(total)
+	if total := d.served + res.Errors500 + res.ConnFailures; total > 0 {
+		res.ErrorRate = float64(res.Errors500+res.ConnFailures) / float64(total)
 	}
 	res.MeanPower = units.Watts(winEnergy / window)
 	res.Energy = units.Joules(winEnergy)
-	res.WebCPU = webUtil.mean()
-	res.CacheCPU = cacheUtil.mean()
+	res.WebCPU, res.CacheCPU = webUtil.mean(), cacheUtil.mean()
 	var gets, hits int64
 	for _, c := range d.Cache {
 		gets += c.gets
@@ -904,18 +488,12 @@ func (d *Deployment) Run(cfg RunConfig) Result {
 	if gets > 0 {
 		res.HitRatio = float64(hits) / float64(gets)
 	}
-	res.DBDelay = d.dbDelay
-	res.CacheDelay = d.cacheDelay
-	res.WebTotal = d.webTotal
+	res.DBDelay, res.CacheDelay, res.WebTotal = d.dbDelay, d.cacheDelay, d.webTotal
 	d.dbDelay, d.cacheDelay, d.webTotal = stats.Summary{}, stats.Summary{}, stats.Summary{}
-	res.Shed = d.ovl.shed
-	res.Degraded = d.ovl.degraded
-	if asMgr != nil {
-		st := asMgr.Stats()
-		res.ScaleUps = st.ScaleUps
-		res.ScaleDowns = st.ScaleDowns
-		res.Boots = st.Boots
-		res.DrainCancels = st.DrainCancels
+	res.Shed, res.Degraded = d.ovl.shed, d.ovl.degraded
+	if d.scaler != nil {
+		st := d.scaler.Stats()
+		res.ScaleUps, res.ScaleDowns, res.Boots, res.DrainCancels = st.ScaleUps, st.ScaleDowns, st.Boots, st.DrainCancels
 		// Boot burn at the busy draw of whatever power model the web nodes
 		// actually run (the cluster builder may have armed a non-default one).
 		busy := d.Plat.Spec.Power.BusyDraw()
@@ -923,13 +501,42 @@ func (d *Deployment) Run(cfg RunConfig) Result {
 			busy = d.Web[0].Node.PowerModel().BusyDraw()
 		}
 		res.BootEnergy = units.Joules(st.BootSecs * float64(busy))
-		res.MeanActive = (asIntegWinEnd - asIntegWinStart) / window
-		d.teardownAutoscale(asMgr, asPool, asUtil)
+		res.MeanActive = (servingAtEnd - servingAtStart) / window
+		d.teardownAutoscale()
 	}
-	d.ovl = overloadCounters{}
-	d.sloDig = nil
-	d.brownout = false
-	return res
+	return *res
+}
+
+// inWindow reports whether now is inside the current run's measurement
+// window.
+func (d *Deployment) inWindow() bool {
+	now := d.Eng.Now()
+	return now >= d.winStart && now <= d.winEnd
+}
+
+// nextArrival schedules the connection generator's next arrival. The
+// generator only chooses instants: closed-loop Poisson arrivals at
+// Concurrency conn/s until Duration, or the open-loop profile's, which keep
+// coming at absolute instants whether or not the fleet keeps up. Every
+// arrival calls fire.
+func (d *Deployment) nextArrival() {
+	if d.arrivals == nil {
+		d.arrival = d.Eng.After(d.rnd.arrival.Exp(1/d.cfg.Concurrency), d.arriveFn)
+	} else if at, ok := d.arrivals.Next(); ok {
+		d.arrival = d.Eng.At(d.start+sim.Time(at), d.arriveFn)
+	}
+}
+
+func (d *Deployment) arrive() {
+	if d.arrivals == nil {
+		if d.Eng.Now() >= d.winEnd {
+			return
+		}
+	} else if d.inWindow() {
+		d.res.Offered++
+	}
+	d.fire()
+	d.nextArrival()
 }
 
 // nextLive returns the first web server after w in ring order whose node is
@@ -941,9 +548,6 @@ func (d *Deployment) nextLive(w *WebServer) *WebServer {
 	ring := d.Web
 	if d.scaler != nil {
 		ring = d.rotation
-		if len(ring) == 0 {
-			return nil
-		}
 	}
 	start := 0
 	for i, s := range ring {
@@ -960,28 +564,13 @@ func (d *Deployment) nextLive(w *WebServer) *WebServer {
 	return nil
 }
 
-func (d *Deployment) webNodes() []*hw.Node {
-	out := make([]*hw.Node, len(d.Web))
-	for i, w := range d.Web {
-		out[i] = w.Node
-	}
-	return out
-}
-
-func (d *Deployment) cacheNodes() []*hw.Node {
-	out := make([]*hw.Node, len(d.Cache))
-	for i, c := range d.Cache {
-		out[i] = c.Node
-	}
-	return out
-}
-
-// utilTracker integrates the mean CPU utilization of a node set over a
-// measurement window. It subscribes to per-node utilization changes instead
-// of sampling on a timer: the integral is exact and no events are added to
-// the engine beyond the single window-start anchor.
+// utilTracker integrates the CPU utilization of a node set over a window:
+// the run's measurement window for the §5.1.2 means, or from run start on
+// for the autoscale policy's per-tick windows. It subscribes to per-node
+// utilization changes instead of sampling on a timer: the integral is exact
+// and no events are added to the engine beyond one window-start anchor
+// (none when the window starts now).
 type utilTracker struct {
-	nodes            []*hw.Node
 	integs           []*stats.Integrator // one per node: exact and O(1) per change
 	cancels          []func()
 	winStart, winEnd float64
@@ -991,7 +580,6 @@ type utilTracker struct {
 // [winStart, winEnd]. Call detach after the run to unhook the callbacks.
 func trackMeanUtil(eng *sim.Engine, nodes []*hw.Node, winStart, winEnd sim.Time) *utilTracker {
 	tr := &utilTracker{
-		nodes:    nodes,
 		integs:   make([]*stats.Integrator, len(nodes)),
 		winStart: float64(winStart),
 		winEnd:   float64(winEnd),
@@ -1006,11 +594,16 @@ func trackMeanUtil(eng *sim.Engine, nodes []*hw.Node, winStart, winEnd sim.Time)
 		}))
 	}
 	// Anchor each integrand at window start with whatever is running then.
-	eng.At(winStart, func() {
+	anchor := func() {
 		for i, n := range nodes {
 			tr.set(i, n.Utilization(), tr.winStart)
 		}
-	})
+	}
+	if winStart > eng.Now() {
+		eng.At(winStart, anchor)
+	} else {
+		anchor()
+	}
 	return tr
 }
 
@@ -1028,14 +621,14 @@ func (tr *utilTracker) set(i int, u, now float64) {
 // the window: Σ per-node integrals / (nodes × window).
 func (tr *utilTracker) mean() float64 {
 	window := tr.winEnd - tr.winStart
-	if window <= 0 || len(tr.nodes) == 0 {
+	if window <= 0 || len(tr.integs) == 0 {
 		return 0
 	}
 	var total float64
 	for _, in := range tr.integs {
 		total += in.Total(tr.winEnd)
 	}
-	return total / (float64(len(tr.nodes)) * window)
+	return total / (float64(len(tr.integs)) * window)
 }
 
 // detach unhooks the tracker's own subscriptions (other observers on the

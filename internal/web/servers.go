@@ -65,9 +65,9 @@ func (w *WebServer) syncIncarnation() {
 }
 
 // admitConn processes an arriving SYN. It returns false when the SYN is
-// dropped (backlog full, or the host is down); otherwise accept() will run
-// once the server gets to it.
-func (w *WebServer) admitConn(accept func()) bool {
+// dropped (backlog full, or the host is down); otherwise accepted runs once
+// the server gets to it, and must call accept.
+func (w *WebServer) admitConn(accepted func()) bool {
 	w.syncIncarnation()
 	if !w.Node.Up() {
 		w.synDropped++
@@ -84,13 +84,15 @@ func (w *WebServer) admitConn(accept func()) bool {
 	}
 	w.lastAccept = at
 	w.pendingSyn++
-	eng.At(at, func() {
-		w.pendingSyn--
-		w.activeConns++
-		w.accepted++
-		accept()
-	})
+	eng.At(at, accepted)
 	return true
+}
+
+// accept moves one connection from the SYN backlog to the established set.
+func (w *WebServer) accept() {
+	w.pendingSyn--
+	w.activeConns++
+	w.accepted++
 }
 
 func (w *WebServer) closeConn() { w.activeConns-- }

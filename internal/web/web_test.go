@@ -5,6 +5,7 @@ import (
 
 	"edisim/internal/cluster"
 	"edisim/internal/hw"
+	"edisim/internal/stats"
 )
 
 // microP and brawnyP are the baseline pair used across the web tests.
@@ -210,17 +211,51 @@ func TestWebRequestSteadyStateNoAlloc(t *testing.T) {
 	d.Warm(1.0)
 	eng := d.Eng
 	cfg := RunConfig{Concurrency: 1}.withDefaults()
-	done := func(bool) {}
+	done := func(uint64, bool) {}
 	// Warm every pool and the route cache.
 	for i := 0; i < 100; i++ {
-		d.request(d.Clients[i%len(d.Clients)], d.Web[i%len(d.Web)], cfg, done)
+		d.request(d.Clients[i%len(d.Clients)], d.Web[i%len(d.Web)], cfg.ImageFrac, 0, done)
 		eng.RunUntil(eng.Now() + 0.05)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		d.request(d.Clients[0], d.Web[1], cfg, done)
+		d.request(d.Clients[0], d.Web[1], cfg.ImageFrac, 0, done)
 		eng.RunUntil(eng.Now() + 0.05)
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state request path allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestWebConnSteadyStateNoAlloc pins the pooled connection path — SYN,
+// accept, SYN-ACK, CallsPerConn requests, close, record recycling — at zero
+// allocations per connection once the pools are warm, both on the plain
+// path and with recovery armed (retransmit and request timers, retry
+// budget deposits). The run state Run would set up is set directly.
+func TestWebConnSteadyStateNoAlloc(t *testing.T) {
+	for _, timeout := range []float64{0, 2} {
+		tb := smallTestbed(microP(), 9, 2, 4)
+		d := NewDeployment(tb, microP(), 6, 3, 1)
+		d.Warm(1.0)
+		eng := d.Eng
+		d.cfg = RunConfig{Concurrency: 1, RequestTimeout: timeout, RetryBudget: 0.1}.withDefaults()
+		d.res = &Result{Delays: &stats.Sample{}, ConnDelays: &stats.Sample{}, Latency: stats.NewDigest()}
+		d.winStart, d.winEnd = 0, 1e9
+		d.budget = retryBudget{rate: d.cfg.RetryBudget, tokens: retryBurst}
+		d.rotation = d.Web
+		for i := 0; i < 100; i++ {
+			d.fire()
+			eng.RunUntil(eng.Now() + 0.5)
+		}
+		served := d.served
+		avg := testing.AllocsPerRun(200, func() {
+			d.fire()
+			eng.RunUntil(eng.Now() + 0.5)
+		})
+		if got := d.served - served; got != 201*8 {
+			t.Fatalf("timeout %v: %d calls served, want %d: connections did not complete", timeout, got, 201*8)
+		}
+		if avg != 0 {
+			t.Fatalf("timeout %v: steady-state connection path allocates %.2f allocs/op, want 0", timeout, avg)
+		}
 	}
 }
