@@ -37,6 +37,9 @@ type webConn struct {
 
 	timer sim.EventRef // retransmit timer, then request timeout
 	armed bool
+	// queued is the seq of a SYN waiting in srv's accept queue, inc the
+	// incarnation of srv that queued it.
+	queued, inc uint64
 
 	synFn, timerFn, retryFn, rstFn func()
 	replyFn                        func(uint64, bool)
@@ -104,15 +107,22 @@ func (c *webConn) arm(wait float64) {
 
 // timerFired runs the retransmit timeout during the handshake and the
 // request timeout after it; a superseded or invalidated timer does nothing.
+// A SYN waiting in the accept queue of a live server has been answered (real
+// TCP sends the SYN-ACK before accept()), so it is not retransmitted; the
+// timer is re-armed in case the server crashes before accepting it.
 func (c *webConn) timerFired() {
 	if c.timer.Active() || !c.armed {
 		return
 	}
 	c.armed = false
-	if c.host == nil {
-		c.dropped()
-	} else {
+	switch {
+	case c.host != nil:
 		c.timedOut()
+	case c.queued == c.seq && c.srv.Node.Up() && c.srv.Node.Incarnation() == c.inc:
+		backoff := c.d.Params.RetryBackoff
+		c.arm(backoff[min(c.synRetry, len(backoff)-1)])
+	default:
+		c.dropped()
 	}
 }
 
@@ -164,10 +174,15 @@ func (t *synTag) arrived() {
 	if !w.admitConn(t.acceptedFn) {
 		t.recycle()
 		c.dropped()
+		return
 	}
+	c.queued, c.inc = c.seq, w.Node.Incarnation()
 }
 
 func (t *synTag) accepted() {
+	if t.seq == t.c.seq {
+		t.c.queued = 0
+	}
 	t.w.accept()
 	t.c.d.Fab.Send(t.w.Node.ID, t.client, rpcHeaderBytes, t.ackedFn)
 }

@@ -121,18 +121,35 @@ func TestCrashDegradesUnrecoveredRun(t *testing.T) {
 
 // TestFaultFreeRecoveryRunMatchesBaseline: enabling timeouts on a healthy
 // run must not change what is measured beyond the extra accounting — no
-// timeouts, no retries, attempts equal operations.
+// timeouts, no retries, bit-equal throughput, delay and energy against the
+// timeouts-off run, and no connection left open on a server. The 400 conn/s
+// case queues SYNs past the 1 s retransmit timeout; a queued SYN must not
+// be sent again (its duplicate used to be accepted and never closed).
 func TestFaultFreeRecoveryRunMatchesBaseline(t *testing.T) {
-	rc := RunConfig{Concurrency: 32, Duration: 5, RequestTimeout: 2}
-	d := smallDeployment(t, microP(), 6, 3)
-	r := d.Run(rc)
-	if r.Timeouts != 0 || r.Retries != 0 {
-		t.Fatalf("healthy run counted timeouts=%d retries=%d, want 0/0", r.Timeouts, r.Retries)
-	}
-	if r.Attempts == 0 {
-		t.Fatal("recovery-on run recorded no attempts")
-	}
-	if r.ErrorRate > 0.01 {
-		t.Fatalf("healthy run with recovery on errored: %.3f", r.ErrorRate)
+	for _, conc := range []float64{32, 400} {
+		base := RunConfig{Concurrency: conc, Duration: 5}
+		rc := base
+		rc.RequestTimeout = 2
+		off := smallDeployment(t, microP(), 6, 3).Run(base)
+		d := smallDeployment(t, microP(), 6, 3)
+		r := d.Run(rc)
+		if r.Timeouts != 0 || r.Retries != 0 {
+			t.Fatalf("%v conn/s: healthy run counted timeouts=%d retries=%d, want 0/0", conc, r.Timeouts, r.Retries)
+		}
+		if r.Attempts == 0 {
+			t.Fatalf("%v conn/s: recovery-on run recorded no attempts", conc)
+		}
+		if r.ErrorRate > 0.01 {
+			t.Fatalf("%v conn/s: healthy run with recovery on errored: %.3f", conc, r.ErrorRate)
+		}
+		if r.Throughput != off.Throughput || r.MeanDelay != off.MeanDelay || r.Energy != off.Energy {
+			t.Fatalf("%v conn/s: recovery on measured tput=%v delay=%v energy=%v, off measured %v/%v/%v",
+				conc, r.Throughput, r.MeanDelay, float64(r.Energy), off.Throughput, off.MeanDelay, float64(off.Energy))
+		}
+		for _, w := range d.Web {
+			if w.activeConns != 0 || w.pendingSyn != 0 {
+				t.Fatalf("%v conn/s: %s left %d connections open and %d SYNs queued", conc, w.Node.ID, w.activeConns, w.pendingSyn)
+			}
+		}
 	}
 }
