@@ -30,10 +30,7 @@ type webConn struct {
 	synRetry int      // kernel SYN retries used
 	call     int      // calls issued so far
 	callAt   sim.Time // current call's start
-	// tries numbers the current call's attempts, advancing once more on
-	// every abandonment, so the call's attempts are tries 1, 3, 5, ...;
-	// MaxRetries and the backoff exponent are applied to that number.
-	tries int
+	attempts int      // attempts of the current call so far
 
 	timer sim.EventRef // retransmit timer, then request timeout
 	armed bool
@@ -236,7 +233,7 @@ func (c *webConn) nextCall() {
 	}
 	c.call++
 	c.callAt = d.Eng.Now()
-	c.tries = 0
+	c.attempts = 0
 	srv := c.host
 	if d.recovering() {
 		srv = d.steer(srv)
@@ -247,12 +244,11 @@ func (c *webConn) nextCall() {
 // try transmits one attempt of the current call to srv.
 func (c *webConn) try(srv *WebServer) {
 	d := c.d
-	c.tries++
+	c.attempts++
 	c.seq++
 	c.srv = srv
 	if d.recovering() {
-		d.res.Attempts++
-		if d.cfg.RetryBudget > 0 && c.tries == 1 {
+		if d.cfg.RetryBudget > 0 && c.attempts == 1 {
 			d.budget.deposit()
 		}
 		c.arm(d.cfg.RequestTimeout)
@@ -277,8 +273,9 @@ func (c *webConn) replied(seq uint64, ok bool) {
 // backoff, unless the call is out of retries or the budget denies one.
 func (c *webConn) timedOut() {
 	d := c.d
-	id := c.tries
-	c.tries++
+	// MaxRetries and the backoff exponent see attempt k as number 2k-1:
+	// the attempt number has always advanced on abandonment as well.
+	id := 2*c.attempts - 1
 	c.seq++
 	win := d.inWindow()
 	if win {
@@ -297,9 +294,6 @@ func (c *webConn) timedOut() {
 		c.settle(false)
 		return
 	}
-	if win {
-		d.res.Retries++
-	}
 	d.Eng.After(d.cfg.RetryBase*float64(uint(1)<<uint(min(id-1, 3))), c.retryFn)
 }
 
@@ -307,13 +301,19 @@ func (c *webConn) retry() { c.try(c.d.steer(c.srv)) }
 
 // settle closes the current call's books and moves on. Response time runs
 // from the call's first attempt; the first call also records connection
-// setup + first-byte delay (the python-logger view of Figs 10–11).
+// setup + first-byte delay (the python-logger view of Figs 10–11). Under
+// recovery the call's attempts and retries are counted here, gated by the
+// window like its outcome.
 func (c *webConn) settle(ok bool) {
 	d := c.d
 	now := d.Eng.Now()
 	delay := float64(now - c.callAt)
 	d.noteSettled(ok, delay)
 	if d.inWindow() {
+		if d.recovering() {
+			d.res.Attempts += int64(c.attempts)
+			d.res.Retries += int64(c.attempts - 1)
+		}
 		if !ok {
 			d.res.Errors500++
 		} else {

@@ -153,3 +153,30 @@ func TestFaultFreeRecoveryRunMatchesBaseline(t *testing.T) {
 		}
 	}
 }
+
+// TestAttemptsCountSettledOperations: Attempts and Retries are counted when
+// an operation settles, gated by the window like its outcome, so every
+// in-window operation contributes one first attempt: Attempts − Retries is
+// exactly the successes plus the 500s. Checked on a healthy run (where a
+// whole-run attempt count used to exceed the window's operations) and under
+// a rolling crash with retries.
+func TestAttemptsCountSettledOperations(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		d := smallDeployment(t, microP(), 6, 3)
+		rc := RunConfig{Concurrency: 32, Duration: 5, RequestTimeout: 0.25}
+		if crash {
+			rc.Concurrency = 128
+			faults.Schedule(d.Eng, faults.RollingCrashes("web", 2, 2, 0.5, 1), 1, drillTargets(d))
+		}
+		r := d.Run(rc.withDefaults())
+		window := rc.Duration * (1 - rc.withDefaults().WarmupFrac)
+		served := int64(math.Round(r.Throughput * window))
+		if ops := served + r.Errors500; r.Attempts-r.Retries != ops {
+			t.Fatalf("crash=%v: attempts %d − retries %d = %d, want the %d settled operations",
+				crash, r.Attempts, r.Retries, r.Attempts-r.Retries, ops)
+		}
+		if crash && r.Retries == 0 {
+			t.Fatal("a rolling crash produced no retries")
+		}
+	}
+}

@@ -363,8 +363,11 @@ type Result struct {
 	ErrorRate    float64 // errored operations / attempted operations
 
 	// Recovery accounting (all zero when RequestTimeout is off). Attempts
-	// counts request transmissions inside the window including retries, so
-	// Attempts / (successes + failures) is the retry amplification factor.
+	// and Retries count the transmissions and retries of the operations
+	// that settled inside the window, so Attempts − Retries is exactly those
+	// operations (successes + Errors500) and Attempts / (Attempts − Retries)
+	// is the retry amplification factor. Timeouts counts client timeouts
+	// that fired inside the window.
 	Timeouts int64
 	Retries  int64
 	Attempts int64
