@@ -387,14 +387,14 @@ type overloadCounters struct {
 // measurement window; controller window always).
 func (d *Deployment) noteShed() {
 	d.ovl.winShed++
-	if now := d.Eng.Now(); now >= d.winStart && now <= d.winEnd {
+	if d.inWindow() {
 		d.ovl.shed++
 	}
 }
 
 // noteDegraded records one brownout cache-only answer.
 func (d *Deployment) noteDegraded() {
-	if now := d.Eng.Now(); now >= d.winStart && now <= d.winEnd {
+	if d.inWindow() {
 		d.ovl.degraded++
 	}
 }

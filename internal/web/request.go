@@ -2,7 +2,6 @@ package web
 
 import (
 	"edisim/internal/sim"
-	"edisim/internal/stats"
 	"edisim/internal/units"
 )
 
@@ -70,10 +69,23 @@ func take[T any, P interface {
 
 func (r *webReq) bind(d *Deployment) {
 	r.d = d
-	r.arrivedFn, r.startFn, r.prologueFn, r.atCacheFn, r.cacheGetFn = r.arrivedAtWeb, r.start, r.prologueDone, r.arrivedAtCache, r.cacheLooked
-	r.hitReturnFn, r.hitDoneFn = r.hitReturned, r.hitUnmarshaled
-	r.missReturnFn, r.atDBFn, r.dbCPUFn, r.dbReadFn, r.dbReturnFn = r.missReturned, r.arrivedAtDB, r.dbComputed, r.dbRead, r.dbReturned
-	r.dbDoneFn, r.assembledFn, r.okFn, r.errFn, r.shedFn = r.dbUnmarshaled, r.assembled, r.deliverOK, r.deliverErr, r.shedComputed
+	r.arrivedFn = r.arrivedAtWeb
+	r.startFn = r.start
+	r.prologueFn = r.prologueDone
+	r.atCacheFn = r.arrivedAtCache
+	r.cacheGetFn = r.cacheLooked
+	r.hitReturnFn = r.hitReturned
+	r.hitDoneFn = r.hitUnmarshaled
+	r.missReturnFn = r.missReturned
+	r.atDBFn = r.arrivedAtDB
+	r.dbCPUFn = r.dbComputed
+	r.dbReadFn = r.dbRead
+	r.dbReturnFn = r.dbReturned
+	r.dbDoneFn = r.dbUnmarshaled
+	r.assembledFn = r.assembled
+	r.okFn = r.deliverOK
+	r.errFn = r.deliverErr
+	r.shedFn = r.shedComputed
 }
 
 // recycleReq returns the record to the pool, releasing callback and server
@@ -108,7 +120,6 @@ func (r *webReq) arrivedAtWeb() {
 	r.arrived = r.d.Eng.Now()
 	if r.d.shed.Enabled() && r.w.shouldShed() {
 		r.d.noteShed()
-		r.w.refused++
 		r.w.Node.ComputeSeconds(r.d.fastFailCPU, r.shedFn)
 		return
 	}
@@ -203,7 +214,6 @@ func (r *webReq) missReturned() {
 // arrivedAtDB..dbRead execute one MySQL lookup on the record: query CPU,
 // then a buffered read of the row (the DBServer keeps the counter).
 func (r *webReq) arrivedAtDB() {
-	r.db.queries++
 	r.db.Node.ComputeSeconds(r.db.queryCPU, r.dbCPUFn)
 }
 
@@ -236,7 +246,7 @@ func (r *webReq) finish(size units.Bytes) {
 func (r *webReq) assembled() {
 	d := r.d
 	d.webTotal.Add(float64(d.Eng.Now() - r.arrived))
-	r.w.finishRequest(true)
+	r.w.inflight--
 	d.Fab.Send(r.w.Node.ID, r.client, r.replySize+256, r.okFn)
 }
 
@@ -252,10 +262,4 @@ func (r *webReq) deliverErr() {
 	done, seq := r.done, r.seq
 	r.d.recycleReq(r)
 	done(seq, false)
-}
-
-// decomposition holds the Table 7 accumulators; Run harvests and resets
-// them.
-type decomposition struct {
-	dbDelay, cacheDelay, webTotal stats.Summary
 }

@@ -99,7 +99,8 @@ type Deployment struct {
 	scaler *autoscale.Manager
 	pool   *fleetPool
 
-	decomposition
+	// Table 7 decomposition accumulators, harvested and reset by Run.
+	dbDelay, cacheDelay, webTotal stats.Summary
 }
 
 // NewDeployment builds a middle tier of nWeb web servers and nCache cache
@@ -139,10 +140,10 @@ func NewTieredDeployment(tb *cluster.Testbed, webPlat *hw.Platform, nWeb int, ca
 		d.Web = append(d.Web, newWebServer(d, n))
 	}
 	for _, n := range d.cacheNodes {
-		d.Cache = append(d.Cache, newCacheServer(d, n))
+		d.Cache = append(d.Cache, newCacheServer(n))
 	}
 	for _, n := range tb.DB {
-		d.DBs = append(d.DBs, newDBServer(d, n, tb.Infra.Web.DBQueryCPU))
+		d.DBs = append(d.DBs, &DBServer{Node: n, queryCPU: tb.Infra.Web.DBQueryCPU})
 	}
 	meterName := webPlat.Label + "-cluster"
 	if cachePlat != webPlat {
@@ -446,7 +447,9 @@ func (d *Deployment) Run(cfg RunConfig) Result {
 	// Window power accounting.
 	var winEnergy float64
 	eng.At(winStart, func() { d.meter.Reset() })
-	eng.At(winEnd, func() { winEnergy = float64(d.meter.Energy()) })
+	eng.At(winEnd, func() {
+		winEnergy = float64(d.meter.Energy())
+	})
 	// Integrate tier utilizations over the window for the §5.1.2 CPU
 	// numbers. Tracking is change-driven (hw.Node.SubscribeUtil), so heavy
 	// runs do not pay for a polling timer and the means are exact.
@@ -482,7 +485,8 @@ func (d *Deployment) Run(cfg RunConfig) Result {
 	}
 	res.MeanPower = units.Watts(winEnergy / window)
 	res.Energy = units.Joules(winEnergy)
-	res.WebCPU, res.CacheCPU = webUtil.mean(), cacheUtil.mean()
+	res.WebCPU = webUtil.mean()
+	res.CacheCPU = cacheUtil.mean()
 	var gets, hits int64
 	for _, c := range d.Cache {
 		gets += c.gets
@@ -491,12 +495,18 @@ func (d *Deployment) Run(cfg RunConfig) Result {
 	if gets > 0 {
 		res.HitRatio = float64(hits) / float64(gets)
 	}
-	res.DBDelay, res.CacheDelay, res.WebTotal = d.dbDelay, d.cacheDelay, d.webTotal
+	res.DBDelay = d.dbDelay
+	res.CacheDelay = d.cacheDelay
+	res.WebTotal = d.webTotal
 	d.dbDelay, d.cacheDelay, d.webTotal = stats.Summary{}, stats.Summary{}, stats.Summary{}
-	res.Shed, res.Degraded = d.ovl.shed, d.ovl.degraded
+	res.Shed = d.ovl.shed
+	res.Degraded = d.ovl.degraded
 	if d.scaler != nil {
 		st := d.scaler.Stats()
-		res.ScaleUps, res.ScaleDowns, res.Boots, res.DrainCancels = st.ScaleUps, st.ScaleDowns, st.Boots, st.DrainCancels
+		res.ScaleUps = st.ScaleUps
+		res.ScaleDowns = st.ScaleDowns
+		res.Boots = st.Boots
+		res.DrainCancels = st.DrainCancels
 		// Boot burn at the busy draw of whatever power model the web nodes
 		// actually run (the cluster builder may have armed a non-default one).
 		busy := d.Plat.Spec.Power.BusyDraw()

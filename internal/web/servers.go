@@ -21,9 +21,7 @@ type WebServer struct {
 	lastReq  sim.Time
 	inflight int
 
-	// Counters.
-	accepted, synDropped, refused int64
-	served, errored               int64
+	errored int64 // requests answered with a 500 (overloaded or down)
 
 	// inc is the node incarnation the admission state belongs to; a crash
 	// bumps the node's counter and the first admission after the reboot
@@ -69,12 +67,7 @@ func (w *WebServer) syncIncarnation() {
 // the server gets to it, and must call accept.
 func (w *WebServer) admitConn(accepted func()) bool {
 	w.syncIncarnation()
-	if !w.Node.Up() {
-		w.synDropped++
-		return false
-	}
-	if w.pendingSyn >= w.dep.Params.SynBacklog {
-		w.synDropped++
+	if !w.Node.Up() || w.pendingSyn >= w.dep.Params.SynBacklog {
 		return false
 	}
 	eng := w.dep.Eng
@@ -92,7 +85,6 @@ func (w *WebServer) admitConn(accepted func()) bool {
 func (w *WebServer) accept() {
 	w.pendingSyn--
 	w.activeConns++
-	w.accepted++
 }
 
 func (w *WebServer) closeConn() { w.activeConns-- }
@@ -127,26 +119,18 @@ func (w *WebServer) admitRequest(start func()) bool {
 	return true
 }
 
-func (w *WebServer) finishRequest(ok bool) {
-	w.inflight--
-	if ok {
-		w.served++
-	}
-}
-
 // CacheServer is one memcached node holding a real key→size store.
 type CacheServer struct {
 	Node *hw.Node
 
-	dep   *Deployment
 	items map[rowKey]units.Bytes
 	used  units.Bytes
 
 	gets, hits int64
 }
 
-func newCacheServer(dep *Deployment, node *hw.Node) *CacheServer {
-	return &CacheServer{Node: node, dep: dep, items: make(map[rowKey]units.Bytes)}
+func newCacheServer(node *hw.Node) *CacheServer {
+	return &CacheServer{Node: node, items: make(map[rowKey]units.Bytes)}
 }
 
 // Set stores a value size under key (warm-up path).
@@ -180,15 +164,8 @@ func (c *CacheServer) HitRatio() float64 {
 // DBServer is one MySQL node (always on the testbed's infra platform, a
 // Dell R620 in the paper's setup).
 type DBServer struct {
-	Node *hw.Node
-
-	dep      *Deployment
+	Node     *hw.Node
 	queryCPU float64 // per-query single-core seconds on this platform
-	queries  int64
-}
-
-func newDBServer(dep *Deployment, node *hw.Node, queryCPU float64) *DBServer {
-	return &DBServer{Node: node, dep: dep, queryCPU: queryCPU}
 }
 
 // rowKey identifies a row in the synthetic wikipedia+images dataset: a
