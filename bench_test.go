@@ -151,7 +151,10 @@ func BenchmarkFig18_Fig19_Table8_Scalability(b *testing.B) {
 
 func BenchmarkTable10_TCO(b *testing.B) { runExperiment(b, "table10") }
 
-// --- Ablations (design choices called out in DESIGN.md) ------------------------
+// --- Ablations ------------------------------------------------------------------
+// BenchmarkAblation_DelayScheduling here; the processor-sharing ablation is
+// BenchmarkAblation_ProcShareVirtualTime_1000 vs _ProcShareNaive_1000 in
+// internal/sim.
 
 // BenchmarkAblation_DelayScheduling quantifies what delay scheduling buys:
 // data-locality and runtime of wordcount with the scheduler as configured.

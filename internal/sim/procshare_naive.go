@@ -4,7 +4,8 @@ package sim
 // sharing that rescans every task on each arrival/departure: O(n) per event
 // versus ProcShare's O(log n) virtual-time scheme. It exists as the
 // correctness oracle for the equivalence property test and as the baseline
-// for the ablation benchmark in DESIGN.md; simulations use ProcShare.
+// for BenchmarkAblation_ProcShareNaive_1000 (against
+// BenchmarkAblation_ProcShareVirtualTime_1000); simulations use ProcShare.
 type NaiveProcShare struct {
 	eng   *Engine
 	cores float64

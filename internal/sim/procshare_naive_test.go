@@ -98,6 +98,6 @@ func benchPS(b *testing.B, n int, fast bool) {
 	}
 }
 
-// Ablation (DESIGN.md): virtual-time PS vs naive rescan PS.
+// Ablation: virtual-time PS vs naive rescan PS, 1000 concurrent tasks.
 func BenchmarkAblation_ProcShareVirtualTime_1000(b *testing.B) { benchPS(b, 1000, true) }
 func BenchmarkAblation_ProcShareNaive_1000(b *testing.B)       { benchPS(b, 1000, false) }
