@@ -4,7 +4,11 @@
 //
 //   - Send: store-and-forward FIFO per link, for small RPC-style messages
 //     (HTTP requests, memcached gets, heartbeats). Queueing delay emerges
-//     naturally as links saturate.
+//     naturally as links saturate. Because each link is a deterministic
+//     single-server FIFO, a message's departure is computed in closed form
+//     when it reaches the link, and each hop costs one engine event (its
+//     arrival at the far end); a cut flushes the messages queued on the
+//     link (see message).
 //   - StartFlow: max-min fair bandwidth sharing with progressive filling,
 //     for bulk transfers (HDFS blocks, shuffle segments, iperf streams).
 //
@@ -28,8 +32,7 @@ type Link struct {
 	Capacity units.BytesPerSec
 	Delay    float64 // one-way propagation delay in seconds
 
-	q     *sim.Resource // transmission FIFO for Send messages
-	bytes units.Bytes   // cumulative bytes carried (messages + flows); may
+	bytes units.Bytes // cumulative bytes carried (messages + flows); may
 	// lag behind live flow progress until Fabric.FlushProgress credits it
 	flows []linkSlot // active max-min flows crossing this link
 	dirty bool       // on the fabric's dirty list for the next reallocate
@@ -45,6 +48,13 @@ type Link struct {
 	// filling, Send transmission times — is bit-identical to the
 	// pre-fault-injection arithmetic.
 	scale float64
+
+	// txq[txHead:] are the Send messages committed to this link and not yet
+	// credited, in departure order (see message and Link.settle); eng is
+	// the clock Bytes settles them against.
+	txq    []txEntry
+	txHead int
+	eng    *sim.Engine
 }
 
 // linkSlot is one entry of a link's flow list: the crossing flow plus the
@@ -55,8 +65,12 @@ type linkSlot struct {
 	pathIdx int32
 }
 
-// Bytes reports the cumulative bytes carried over this link.
-func (l *Link) Bytes() units.Bytes { return l.bytes }
+// Bytes reports the cumulative bytes carried over this link. A message
+// counts once its last byte has left the link.
+func (l *Link) Bytes() units.Bytes {
+	l.settle(l.eng.Now())
+	return l.bytes
+}
 
 // Scale reports the link's capacity scale (1 healthy, 0 cut).
 func (l *Link) Scale() float64 { return l.scale }
@@ -161,7 +175,7 @@ func (f *Fabric) Connect(a, b string, capacity units.BytesPerSec, delay float64)
 	}
 	for _, pair := range [][2]string{{a, b}, {b, a}} {
 		l := &Link{Src: pair[0], Dst: pair[1], Capacity: capacity, Delay: delay,
-			q: sim.NewResource(f.eng, 1), scale: 1}
+			eng: f.eng, scale: 1}
 		f.adj[pair[0]] = append(f.adj[pair[0]], l)
 		f.links = append(f.links, l)
 	}
@@ -173,7 +187,7 @@ func (f *Fabric) ConnectAsym(a, b string, capacity units.BytesPerSec, delay floa
 	if !f.vertices[a] || !f.vertices[b] {
 		panic(fmt.Sprintf("netsim: connect of unknown vertex %q or %q", a, b))
 	}
-	l := &Link{Src: a, Dst: b, Capacity: capacity, Delay: delay, q: sim.NewResource(f.eng, 1), scale: 1}
+	l := &Link{Src: a, Dst: b, Capacity: capacity, Delay: delay, eng: f.eng, scale: 1}
 	f.adj[a] = append(f.adj[a], l)
 	f.links = append(f.links, l)
 	f.routes = make(map[[2]string][]*Link)
@@ -244,8 +258,14 @@ func (f *Fabric) RTT(a, b string) float64 {
 // aborted without its done callback (the sender's timeout machinery owns
 // recovery), handled by the same incremental dirty-component sweep as normal
 // departures. Flows started while a link on their path is down are admitted
-// at rate 0 and resume when the link is restored. In-flight Send messages
-// reaching a cut link are dropped (see message.acquired).
+// at rate 0 and resume when the link is restored.
+//
+// Send messages are replanned on every rescaled link: the message on the
+// wire keeps its timing and is delivered, while the messages queued behind
+// it are re-timed at the new capacity (degrade or restore) or, on a cut,
+// flushed — dropped at cut time without their done callbacks, so a restore
+// does not bring them back. Messages reaching a cut link are dropped too
+// (see message).
 func (f *Fabric) SetVertexLinks(v string, scale float64) {
 	if !(scale >= 0) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("netsim: link scale %g must be finite and non-negative", scale))
@@ -261,6 +281,7 @@ func (f *Fabric) SetVertexLinks(v string, scale float64) {
 		if (l.Src == v || l.Dst == v) && l.scale != scale {
 			l.scale = scale
 			f.markDirty(l)
+			f.replan(l)
 			changed = true
 		}
 	}
@@ -340,7 +361,7 @@ func (f *Fabric) TotalBytes() units.Bytes {
 	f.FlushProgress()
 	var total units.Bytes
 	for _, l := range f.links {
-		total += l.bytes
+		total += l.Bytes()
 	}
 	return total
 }

@@ -104,6 +104,56 @@ func TestMessageDroppedAtDownLink(t *testing.T) {
 	}
 }
 
+// TestCutFlushesQueuedMessages pins flush-on-cut: A, B and C queue on a's
+// access link, 0.1 s each. Cutting a's links mid-A still delivers A (it is
+// on the wire) but drops B and C at cut time, so restoring the links right
+// after — while A is still transmitting — does not bring them back.
+func TestCutFlushesQueuedMessages(t *testing.T) {
+	eng := sim.NewEngine()
+	f := lineFabric(eng, 10*units.MBps, 0)
+	delivered := map[string]sim.Time{}
+	for _, name := range []string{"A", "B", "C"} {
+		f.Send("a", "b", units.MB, func() { delivered[name] = eng.Now() })
+	}
+	eng.At(0.05, func() { f.SetVertexLinks("a", 0) })
+	eng.At(0.06, func() { f.SetVertexLinks("a", 1) })
+	eng.Run()
+	if len(delivered) != 1 || !almost(float64(delivered["A"]), 0.2, 1e-12) {
+		t.Fatalf("delivered %v, want only A at 0.2", delivered)
+	}
+	if got := f.Route("a", "b")[0].Bytes(); got != units.MB {
+		t.Fatalf("cut link carried %v, want only A's %v", got, units.MB)
+	}
+	if len(f.freeMsgs) != msgChunk {
+		t.Fatalf("%d message records pooled after the flush, want all %d", len(f.freeMsgs), msgChunk)
+	}
+}
+
+// TestDegradeRetimesQueuedMessages: a queued message transmits at the
+// capacity in force when it starts, not when it was queued. A, B and C
+// queue on a's access link at 0.1 s each. Halving it mid-A leaves A alone
+// and stretches B to 0.2 s; restoring it mid-B leaves B alone and runs C at
+// full rate again.
+func TestDegradeRetimesQueuedMessages(t *testing.T) {
+	eng := sim.NewEngine()
+	f := lineFabric(eng, 10*units.MBps, 0)
+	delivered := map[string]sim.Time{}
+	for _, name := range []string{"A", "B", "C"} {
+		f.Send("a", "b", units.MB, func() { delivered[name] = eng.Now() })
+	}
+	eng.At(0.05, func() { f.SetVertexLinks("a", 0.5) })
+	eng.At(0.15, func() { f.SetVertexLinks("a", 1) })
+	eng.Run()
+	// a→sw: A [0, 0.1], B [0.1, 0.3] at half rate, C [0.3, 0.4]; sw→b adds
+	// 0.1 s each, queued behind the previous message.
+	want := map[string]float64{"A": 0.2, "B": 0.4, "C": 0.5}
+	for name, at := range want {
+		if !almost(float64(delivered[name]), at, 1e-12) {
+			t.Errorf("%s delivered at %v, want %v", name, delivered[name], at)
+		}
+	}
+}
+
 func TestSetVertexLinksRejectsBadScale(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, 10*units.MBps, 0)

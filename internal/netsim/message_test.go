@@ -87,6 +87,34 @@ func TestSendSteadyStateNoAlloc(t *testing.T) {
 			t.Errorf("%s allocates %.1f objects per op in steady state, want 0", c.name, allocs)
 		}
 	}
+
+	// A link that never drains: a standing backlog on a's access link,
+	// topped up by one Send and one RoundTrip per op while the clock
+	// advances by their transmission time, so the FIFO keeps holding about
+	// backlog messages while thousands pass through it.
+	const backlog = 48
+	l := f.Route("a", "b")[0]
+	for j := 0; j < backlog; j++ {
+		f.Send("a", "b", 1000, fn)
+	}
+	step := sim.Time(1100 / float64(units.Mbps(100)))
+	topUp := func() {
+		f.Send("a", "b", 1000, fn)
+		f.RoundTrip("a", "b", 100, 100, fn)
+		eng.RunUntil(eng.Now() + step)
+	}
+	for j := 0; j < 8*backlog; j++ {
+		topUp() // grow the pools and the FIFO to their steady size
+	}
+	if allocs := testing.AllocsPerRun(4000, topUp); allocs > 0 {
+		t.Errorf("Send+RoundTrip behind a standing queue allocates %.1f objects per op, want 0", allocs)
+	}
+	if depth := len(l.txq) - l.txHead; depth < backlog {
+		t.Fatalf("link FIFO drained to %d messages; the case must keep a standing queue of %d", depth, backlog)
+	}
+	if c := cap(l.txq); c > 8*backlog {
+		t.Errorf("link FIFO capacity %d after 8000 queued messages, want ≤ %d (proportional to queue depth)", c, 8*backlog)
+	}
 }
 
 // BenchmarkSend measures the store-and-forward messaging path: one
