@@ -132,15 +132,18 @@ func NewOn(eng *sim.Engine, cfg Config) *Testbed {
 	tb := &Testbed{Eng: eng, Fab: netsim.NewFabric(eng), Infra: infra}
 	f := tb.Fab
 
-	f.AddVertex("core")
+	core := f.AddVertex("core")
 
-	buildRoot := func(p *hw.Platform) {
+	// roots maps each built root switch's name to its vertex.
+	roots := map[string]netsim.Vertex{}
+	buildRoot := func(p *hw.Platform) netsim.Vertex {
 		net := p.Net
-		f.AddVertex(net.SwitchName)
-		f.Connect(net.SwitchName, "core", net.CoreUplink, net.CoreDelay)
+		sw := f.AddVertex(net.SwitchName)
+		f.Connect(sw, core, net.CoreUplink, net.CoreDelay)
+		roots[net.SwitchName] = sw
+		return sw
 	}
 
-	built := map[string]bool{}
 	for _, gc := range cfg.Groups {
 		p := gc.Platform
 		if p == nil {
@@ -152,30 +155,30 @@ func NewOn(eng *sim.Engine, cfg Config) *Testbed {
 		if gc.Nodes == 0 {
 			continue
 		}
-		if built[p.Net.SwitchName] {
+		if _, dup := roots[p.Net.SwitchName]; dup {
 			panic(fmt.Sprintf("cluster: duplicate group for %s", p.Name))
 		}
-		buildRoot(p)
-		built[p.Net.SwitchName] = true
+		root := buildRoot(p)
 
 		net := p.Net
+		var leaves []netsim.Vertex
 		if net.LeafFanout > 0 {
 			nLeaves := (gc.Nodes + net.LeafFanout - 1) / net.LeafFanout
 			for b := 0; b < nLeaves; b++ {
-				sw := fmt.Sprintf("%s%d", net.LeafPrefix, b)
-				f.AddVertex(sw)
-				f.Connect(sw, net.SwitchName, net.LeafUplink, net.LeafUplinkDelay)
+				sw := f.AddVertex(fmt.Sprintf("%s%d", net.LeafPrefix, b))
+				f.Connect(sw, root, net.LeafUplink, net.LeafUplinkDelay)
+				leaves = append(leaves, sw)
 			}
 		}
 		g := &Group{Platform: p}
 		for i := 0; i < gc.Nodes; i++ {
 			name := fmt.Sprintf(net.HostFormat, i)
-			f.AddVertex(name)
-			attach := net.SwitchName
+			v := f.AddVertex(name)
+			attach := root
 			if net.LeafFanout > 0 {
-				attach = fmt.Sprintf("%s%d", net.LeafPrefix, i/net.LeafFanout)
+				attach = leaves[i/net.LeafFanout]
 			}
-			f.Connect(name, attach, p.Spec.NIC.TCPGoodput, net.AccessDelay)
+			f.Connect(v, attach, p.Spec.NIC.TCPGoodput, net.AccessDelay)
 			n := hw.NewNode(eng, p.Spec, name)
 			if cfg.Energy != hw.PowerLinear {
 				n.SetPowerModel(p.PowerModelFor(cfg.Energy))
@@ -188,13 +191,13 @@ func NewOn(eng *sim.Engine, cfg Config) *Testbed {
 	// --- Infrastructure tier: DB servers and clients under the infra
 	// platform's root switch (the paper's Dell machine room, which exists
 	// even in micro-only deployments).
-	if !built[infra.Net.SwitchName] {
-		buildRoot(infra)
+	infraRoot, ok := roots[infra.Net.SwitchName]
+	if !ok {
+		infraRoot = buildRoot(infra)
 	}
 	for i := 0; i < cfg.DBNodes; i++ {
 		name := fmt.Sprintf("db%d", i)
-		f.AddVertex(name)
-		f.Connect(name, infra.Net.SwitchName, infra.Spec.NIC.TCPGoodput, infra.Net.AccessDelay)
+		f.Connect(f.AddVertex(name), infraRoot, infra.Spec.NIC.TCPGoodput, infra.Net.AccessDelay)
 		n := hw.NewNode(eng, infra.Spec, name)
 		if cfg.Energy != hw.PowerLinear {
 			n.SetPowerModel(infra.PowerModelFor(cfg.Energy))
@@ -204,8 +207,7 @@ func NewOn(eng *sim.Engine, cfg Config) *Testbed {
 	// Clients: each with its own 1 Gbps-class access link.
 	for i := 0; i < cfg.Clients; i++ {
 		name := fmt.Sprintf("client%d", i)
-		f.AddVertex(name)
-		f.Connect(name, infra.Net.SwitchName, units.Mbps(942), infra.Net.AccessDelay)
+		f.Connect(f.AddVertex(name), infraRoot, units.Mbps(942), infra.Net.AccessDelay)
 		tb.Clients = append(tb.Clients, name)
 	}
 

@@ -40,10 +40,10 @@ func (c LeafSpineConfig) withDefaults() LeafSpineConfig {
 }
 
 // LeafSpine builds the leaf-spine fabric on the engine and returns it with
-// the host vertex names, leaf-major ("h<leaf>-<index>"). Host counts are
+// the host vertices, leaf-major (named "h<leaf>-<index>"). Host counts are
 // bounded by Leaves × HostsPerLeaf ≤ MaxGroupNodes, the same sanity cap as
 // testbed groups.
-func LeafSpine(eng *sim.Engine, cfg LeafSpineConfig) (*netsim.Fabric, []string) {
+func LeafSpine(eng *sim.Engine, cfg LeafSpineConfig) (*netsim.Fabric, []netsim.Vertex) {
 	cfg = cfg.withDefaults()
 	if cfg.Spines <= 0 || cfg.Leaves <= 0 || cfg.HostsPerLeaf <= 0 {
 		panic(fmt.Sprintf("cluster: leaf-spine needs positive dimensions, got %d/%d/%d",
@@ -53,19 +53,18 @@ func LeafSpine(eng *sim.Engine, cfg LeafSpineConfig) (*netsim.Fabric, []string) 
 		panic(fmt.Sprintf("cluster: leaf-spine host count %d exceeds group cap %d", n, MaxGroupNodes))
 	}
 	f := netsim.NewFabric(eng)
-	for s := 0; s < cfg.Spines; s++ {
-		f.AddVertex(fmt.Sprintf("spine%d", s))
+	spines := make([]netsim.Vertex, cfg.Spines)
+	for s := range spines {
+		spines[s] = f.AddVertex(fmt.Sprintf("spine%d", s))
 	}
-	hosts := make([]string, 0, cfg.Leaves*cfg.HostsPerLeaf)
+	hosts := make([]netsim.Vertex, 0, cfg.Leaves*cfg.HostsPerLeaf)
 	for l := 0; l < cfg.Leaves; l++ {
-		leaf := fmt.Sprintf("leaf%d", l)
-		f.AddVertex(leaf)
-		for s := 0; s < cfg.Spines; s++ {
-			f.Connect(leaf, fmt.Sprintf("spine%d", s), cfg.Uplink, cfg.UplinkDelay)
+		leaf := f.AddVertex(fmt.Sprintf("leaf%d", l))
+		for _, spine := range spines {
+			f.Connect(leaf, spine, cfg.Uplink, cfg.UplinkDelay)
 		}
 		for h := 0; h < cfg.HostsPerLeaf; h++ {
-			host := fmt.Sprintf("h%d-%d", l, h)
-			f.AddVertex(host)
+			host := f.AddVertex(fmt.Sprintf("h%d-%d", l, h))
 			f.Connect(host, leaf, cfg.HostLink, cfg.AccessDelay)
 			hosts = append(hosts, host)
 		}

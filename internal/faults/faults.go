@@ -178,7 +178,7 @@ type Target struct {
 func (t Target) crash() {
 	t.Node.Crash()
 	if t.Fab != nil {
-		t.Fab.SetVertexLinks(t.Node.ID, 0)
+		t.setLinks(0)
 	}
 }
 
@@ -186,8 +186,13 @@ func (t Target) crash() {
 func (t Target) restore() {
 	t.Node.Restore()
 	if t.Fab != nil {
-		t.Fab.SetVertexLinks(t.Node.ID, 1)
+		t.setLinks(1)
 	}
+}
+
+// setLinks rescales the node's links (see netsim.Fabric.SetVertexLinks).
+func (t Target) setLinks(scale float64) {
+	t.Fab.SetVertexLinks(t.Fab.Vertex(t.Node.ID), scale)
 }
 
 // Schedule compiles the plan into engine events against the given roster —
@@ -240,15 +245,15 @@ func Schedule(eng *sim.Engine, plan *Plan, seed int64, roster map[string][]Targe
 				eng.After(at+e.Duration, func() { t.Node.SetSlowFactor(1) })
 			}
 		case LinkCut:
-			eng.After(at, func() { t.Fab.SetVertexLinks(t.Node.ID, 0) })
+			eng.After(at, func() { t.setLinks(0) })
 			if e.Duration > 0 {
-				eng.After(at+e.Duration, func() { t.Fab.SetVertexLinks(t.Node.ID, 1) })
+				eng.After(at+e.Duration, func() { t.setLinks(1) })
 			}
 		case LinkDegrade:
 			factor := e.Factor
-			eng.After(at, func() { t.Fab.SetVertexLinks(t.Node.ID, factor) })
+			eng.After(at, func() { t.setLinks(factor) })
 			if e.Duration > 0 {
-				eng.After(at+e.Duration, func() { t.Fab.SetVertexLinks(t.Node.ID, 1) })
+				eng.After(at+e.Duration, func() { t.setLinks(1) })
 			}
 		}
 	}

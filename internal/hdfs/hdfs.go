@@ -44,6 +44,7 @@ type File struct {
 type DataNode struct {
 	Node *hw.Node
 
+	vx     netsim.Vertex // Node's fabric vertex
 	fs     *FileSystem
 	blocks map[BlockID]bool
 	used   units.Bytes
@@ -74,7 +75,8 @@ type FileSystem struct {
 }
 
 // New creates a filesystem with the given block size and replication over
-// the provided nodes. master is the fabric vertex hosting the namenode.
+// the provided nodes, each a vertex of fab under its ID. master names the
+// fabric vertex hosting the namenode.
 func New(fab *netsim.Fabric, master string, nodes []*hw.Node, blockSize units.Bytes, replication int, seed int64) *FileSystem {
 	if blockSize <= 0 || replication <= 0 {
 		panic("hdfs: invalid block size or replication")
@@ -91,7 +93,7 @@ func New(fab *netsim.Fabric, master string, nodes []*hw.Node, blockSize units.By
 		MasterVertex: master,
 	}
 	for _, n := range nodes {
-		fs.nodes = append(fs.nodes, &DataNode{Node: n, fs: fs, blocks: make(map[BlockID]bool), alive: true})
+		fs.nodes = append(fs.nodes, &DataNode{Node: n, vx: fab.Vertex(n.ID), fs: fs, blocks: make(map[BlockID]bool), alive: true})
 	}
 	return fs
 }
@@ -201,7 +203,7 @@ func (fs *FileSystem) CreateInstant(name string, size units.Bytes) *File {
 // each block is pushed over the network to every replica and committed to
 // each replica's disk (pipelined per block, sequential across blocks, as
 // the HDFS client does). done runs when the last replica commits.
-func (fs *FileSystem) Write(writer string, writerNode *hw.Node, name string, size units.Bytes, done func()) {
+func (fs *FileSystem) Write(writer netsim.Vertex, writerNode *hw.Node, name string, size units.Bytes, done func()) {
 	if _, exists := fs.files[name]; exists {
 		panic(fmt.Sprintf("hdfs: file %q already exists", name))
 	}
@@ -234,7 +236,7 @@ func (fs *FileSystem) Write(writer string, writerNode *hw.Node, name string, siz
 		remaining := len(b.Replicas)
 		for _, d := range b.Replicas {
 			d := d
-			fs.fab.StartFlow(writer, d.Node.ID, bs, func() {
+			fs.fab.StartFlow(writer, d.vx, bs, func() {
 				d.Node.Disk().Write(bs, true, func() {
 					d.blocks[b.ID] = true
 					d.used += bs
@@ -266,7 +268,7 @@ const (
 // SetNodeAlive) the read probes once a second until a replica returns, up to
 // maxReadProbes; a block with NO registered replicas is permanent data loss
 // (FailNode removed them) and panics, as before.
-func (fs *FileSystem) ReadBlock(reader string, readerNode *hw.Node, b *Block, done func()) (local bool) {
+func (fs *FileSystem) ReadBlock(reader netsim.Vertex, readerNode *hw.Node, b *Block, done func()) (local bool) {
 	// Prefer a replica on the reading node.
 	for _, d := range b.Replicas {
 		if d.alive && readerNode != nil && d.Node == readerNode {
@@ -280,14 +282,14 @@ func (fs *FileSystem) ReadBlock(reader string, readerNode *hw.Node, b *Block, do
 
 // remoteRead reads from the first live replica, retrying while every replica
 // is transiently dead.
-func (fs *FileSystem) remoteRead(reader string, b *Block, done func(), probes int) {
+func (fs *FileSystem) remoteRead(reader netsim.Vertex, b *Block, done func(), probes int) {
 	for _, d := range b.Replicas {
 		if !d.alive {
 			continue
 		}
 		d := d
 		d.Node.Disk().Read(b.Size, true, func() {
-			fs.fab.StartFlow(d.Node.ID, reader, b.Size, done)
+			fs.fab.StartFlow(d.vx, reader, b.Size, done)
 		})
 		return
 	}
@@ -375,7 +377,7 @@ func (fs *FileSystem) FailNode(d *DataNode, done func(reReplicated int)) {
 	for _, j := range jobs {
 		j := j
 		j.from.Node.Disk().Read(j.b.Size, true, func() {
-			fs.fab.StartFlow(j.from.Node.ID, j.to.Node.ID, j.b.Size, func() {
+			fs.fab.StartFlow(j.from.vx, j.to.vx, j.b.Size, func() {
 				j.to.Node.Disk().Write(j.b.Size, true, func() {
 					j.to.blocks[j.b.ID] = true
 					j.to.used += j.b.Size

@@ -21,12 +21,12 @@ func testFS(t *testing.T, n, replication int, blockSize units.Bytes) (*sim.Engin
 	fab := netsim.NewFabric(eng)
 	fab.AddVertex("sw")
 	fab.AddVertex("master")
-	fab.Connect("master", "sw", units.Gbps(1), 0.1e-3)
+	fab.Connect(fab.Vertex("master"), fab.Vertex("sw"), units.Gbps(1), 0.1e-3)
 	nodes := make([]*hw.Node, n)
 	for i := range nodes {
 		name := string(rune('a' + i))
 		fab.AddVertex(name)
-		fab.Connect(name, "sw", units.Mbps(100), 0.3e-3)
+		fab.Connect(fab.Vertex(name), fab.Vertex("sw"), units.Mbps(100), 0.3e-3)
 		nodes[i] = hw.NewNode(eng, hw.EdisonSpec(), name)
 	}
 	return eng, New(fab, "master", nodes, blockSize, replication, 7), nodes
@@ -70,7 +70,7 @@ func TestCreateInstantDuplicatePanics(t *testing.T) {
 func TestWriteReplicatesAndAccounts(t *testing.T) {
 	eng, fs, nodes := testFS(t, 4, 2, 16*units.MB)
 	done := false
-	fs.Write(nodes[0].ID, nodes[0], "/w", 48*units.MB, func() { done = true })
+	fs.Write(fs.fab.Vertex(nodes[0].ID), nodes[0], "/w", 48*units.MB, func() { done = true })
 	eng.Run()
 	if !done {
 		t.Fatal("write never completed")
@@ -100,7 +100,7 @@ func TestReadBlockLocalVsRemote(t *testing.T) {
 	holder := b.Replicas[0].Node
 
 	var localDone, remoteDone sim.Time
-	local := fs.ReadBlock(holder.ID, holder, b, func() { localDone = eng.Now() })
+	local := fs.ReadBlock(fs.fab.Vertex(holder.ID), holder, b, func() { localDone = eng.Now() })
 	if !local {
 		t.Fatal("read on the replica holder should be local")
 	}
@@ -111,7 +111,7 @@ func TestReadBlockLocalVsRemote(t *testing.T) {
 			break
 		}
 	}
-	remote := fs.ReadBlock(other.ID, other, b, func() { remoteDone = eng.Now() })
+	remote := fs.ReadBlock(fs.fab.Vertex(other.ID), other, b, func() { remoteDone = eng.Now() })
 	if remote {
 		t.Fatal("read on a non-holder should be remote")
 	}

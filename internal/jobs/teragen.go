@@ -32,7 +32,7 @@ func Teragen(h *Hadoop, size units.Bytes, maps int) (float64, error) {
 	for i := 0; i < maps; i++ {
 		part := fmt.Sprintf("%s.gen-%03d", name, i)
 		writer := h.Workers[i%len(h.Workers)]
-		h.FS.Write(writer.ID, writer, part, slice, func() {
+		h.FS.Write(h.Fab.Vertex(writer.ID), writer, part, slice, func() {
 			remaining--
 		})
 	}

@@ -28,6 +28,7 @@ type Cluster struct {
 	RM *yarn.ResourceManager
 
 	meter *power.Meter
+	vx    map[*hw.Node]netsim.Vertex // each worker's fabric vertex
 }
 
 // daemonMemory is what datanode+nodemanager consume on a worker (§5.2:
@@ -70,6 +71,10 @@ func NewCluster(eng *sim.Engine, fab *netsim.Fabric, master *hw.Node, workers []
 		// paper does ("the power consumed by the Dell master can be
 		// considered as a static offset").
 		meter: power.NewMeter("workers", workers),
+		vx:    make(map[*hw.Node]netsim.Vertex, len(workers)),
+	}
+	for _, w := range workers {
+		c.vx[w] = fab.Vertex(w.ID)
 	}
 	return c, nil
 }

@@ -335,7 +335,7 @@ func (c *Cluster) Start(job *JobDef, done func()) (*JobResult, error) {
 					out := units.Bytes(float64(shuffleShare) * job.Cost.ReduceOutputRatio)
 					outSeq++
 					outName := fmt.Sprintf("%s/part-r-%05d", job.Name, outSeq)
-					c.FS.Write(node.ID, node, outName, out, func() {
+					c.FS.Write(c.vx[node], node, outName, out, func() {
 						if at.dead || rt.done {
 							return
 						}
@@ -362,7 +362,7 @@ func (c *Cluster) Start(job *JobDef, done func()) (*JobResult, error) {
 				res.ShuffledBytes += seg
 				// Read the spilled segment, then stream it over.
 				src.Node.Disk().Read(seg, true, func() {
-					c.Fab.StartFlow(src.Node.ID, node.ID, seg, func() {
+					c.Fab.StartFlow(c.vx[src.Node], c.vx[node], seg, func() {
 						node.Disk().Write(seg, true, afterFetch)
 					})
 				})
@@ -451,7 +451,7 @@ func (c *Cluster) Start(job *JobDef, done func()) (*JobResult, error) {
 		remaining := len(s.blocks)
 		local := true
 		for _, b := range s.blocks {
-			wasLocal := c.FS.ReadBlock(node.ID, node, b, func() {
+			wasLocal := c.FS.ReadBlock(c.vx[node], node, b, func() {
 				if at.dead {
 					return
 				}

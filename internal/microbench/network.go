@@ -5,6 +5,7 @@ import (
 
 	"edisim/internal/cluster"
 	"edisim/internal/hw"
+	"edisim/internal/netsim"
 	"edisim/internal/sim"
 	"edisim/internal/units"
 )
@@ -21,14 +22,15 @@ func MeasureNetwork(micro, brawny *hw.Platform) []NetworkResult {
 	mn := tb.Nodes(micro)
 	bn := tb.Nodes(brawny)
 
+	v := func(n *hw.Node) netsim.Vertex { return tb.Fab.Vertex(n.ID) }
 	pairs := []struct {
 		name     string
-		src, dst string
+		src, dst netsim.Vertex
 		udp      units.BytesPerSec
 	}{
-		{fmt.Sprintf("%s to %s", brawny.Label, brawny.Label), bn[0].ID, bn[1].ID, brawny.Spec.NIC.UDPGoodput},
-		{fmt.Sprintf("%s to %s", brawny.Label, micro.Label), bn[0].ID, mn[0].ID, micro.Spec.NIC.UDPGoodput},
-		{fmt.Sprintf("%s to %s", micro.Label, micro.Label), mn[0].ID, mn[34].ID, micro.Spec.NIC.UDPGoodput},
+		{fmt.Sprintf("%s to %s", brawny.Label, brawny.Label), v(bn[0]), v(bn[1]), brawny.Spec.NIC.UDPGoodput},
+		{fmt.Sprintf("%s to %s", brawny.Label, micro.Label), v(bn[0]), v(mn[0]), micro.Spec.NIC.UDPGoodput},
+		{fmt.Sprintf("%s to %s", micro.Label, micro.Label), v(mn[0]), v(mn[34]), micro.Spec.NIC.UDPGoodput},
 	}
 
 	var out []NetworkResult

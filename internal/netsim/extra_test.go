@@ -12,8 +12,8 @@ func TestConnectAsymOneWay(t *testing.T) {
 	f := NewFabric(eng)
 	f.AddVertex("a")
 	f.AddVertex("b")
-	f.ConnectAsym("a", "b", units.Mbps(100), 0)
-	if got := len(f.Route("a", "b")); got != 1 {
+	f.ConnectAsym(f.Vertex("a"), f.Vertex("b"), units.Mbps(100), 0)
+	if got := len(f.Route(f.Vertex("a"), f.Vertex("b"))); got != 1 {
 		t.Fatalf("forward route %d hops", got)
 	}
 	defer func() {
@@ -21,7 +21,7 @@ func TestConnectAsymOneWay(t *testing.T) {
 			t.Fatal("reverse route should not exist")
 		}
 	}()
-	f.Route("b", "a")
+	f.Route(f.Vertex("b"), f.Vertex("a"))
 }
 
 func TestRouteCacheInvalidatedByConnect(t *testing.T) {
@@ -30,14 +30,14 @@ func TestRouteCacheInvalidatedByConnect(t *testing.T) {
 	for _, v := range []string{"a", "b", "c"} {
 		f.AddVertex(v)
 	}
-	f.Connect("a", "b", units.Mbps(100), 0)
-	f.Connect("b", "c", units.Mbps(100), 0)
-	if got := len(f.Route("a", "c")); got != 2 {
+	f.Connect(f.Vertex("a"), f.Vertex("b"), units.Mbps(100), 0)
+	f.Connect(f.Vertex("b"), f.Vertex("c"), units.Mbps(100), 0)
+	if got := len(f.Route(f.Vertex("a"), f.Vertex("c"))); got != 2 {
 		t.Fatalf("route a-c %d hops, want 2", got)
 	}
 	// A direct cable should shorten the path after cache invalidation.
-	f.Connect("a", "c", units.Mbps(100), 0)
-	if got := len(f.Route("a", "c")); got != 1 {
+	f.Connect(f.Vertex("a"), f.Vertex("c"), units.Mbps(100), 0)
+	if got := len(f.Route(f.Vertex("a"), f.Vertex("c"))); got != 1 {
 		t.Fatalf("route a-c after direct link %d hops, want 1", got)
 	}
 }
@@ -45,9 +45,10 @@ func TestRouteCacheInvalidatedByConnect(t *testing.T) {
 func TestMessagesAndFlowsCoexist(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	var msgDone, flowDone bool
-	f.StartFlow("a", "b", units.Bytes(12.5e6/2), func() { flowDone = true })
-	f.Send("a", "b", 1000, func() { msgDone = true })
+	f.StartFlow(a, b, units.Bytes(12.5e6/2), func() { flowDone = true })
+	f.Send(a, b, 1000, func() { msgDone = true })
 	eng.Run()
 	if !msgDone || !flowDone {
 		t.Fatalf("msg=%v flow=%v", msgDone, flowDone)
@@ -57,19 +58,31 @@ func TestMessagesAndFlowsCoexist(t *testing.T) {
 func TestConnectUnknownVertexPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	f := NewFabric(eng)
-	f.AddVertex("a")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for unknown vertex")
-		}
-	}()
-	f.Connect("a", "ghost", units.Mbps(10), 0)
+	a := f.AddVertex("a")
+	for name, call := range map[string]func(){
+		"unknown name":   func() { f.Vertex("ghost") },
+		"foreign handle": func() { f.Connect(a, a+1, units.Mbps(10), 0) },
+		"negative":       func() { f.ConnectAsym(-1, a, units.Mbps(10), 0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+	if f.AddVertex("a") != a || f.Name(a) != "a" {
+		t.Fatalf("re-adding %q gave a new handle", "a")
+	}
 }
 
 func TestFlowRateVisible(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
-	fl := f.StartFlow("a", "b", units.Bytes(12.5e6), nil)
+	a, b := f.Vertex("a"), f.Vertex("b")
+	fl := f.StartFlow(a, b, units.Bytes(12.5e6), nil)
 	eng.Step() // admit flow into the sharing set
 	if fl.Finished() {
 		t.Fatal("finished too early")
@@ -87,11 +100,12 @@ func TestFlowRateVisible(t *testing.T) {
 func TestManyConcurrentFlowsConserveBytes(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	const n = 20
 	size := units.Bytes(1e6)
 	done := 0
 	for i := 0; i < n; i++ {
-		f.StartFlow("a", "b", size, func() { done++ })
+		f.StartFlow(a, b, size, func() { done++ })
 	}
 	eng.Run()
 	if done != n {

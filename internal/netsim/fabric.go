@@ -12,6 +12,14 @@
 //   - StartFlow: max-min fair bandwidth sharing with progressive filling,
 //     for bulk transfers (HDFS blocks, shuffle segments, iperf streams).
 //
+// Hosts and switches are named once, when AddVertex registers them; every
+// later call takes the dense Vertex handle it returned (or that
+// Fabric.Vertex resolves), so the per-message path indexes slices instead
+// of hashing names. Routes come from one BFS per source, run the first
+// time that source routes (a host with a single uplink reuses its switch's),
+// into a [src][dst] table whose paths are materialized on first read (see
+// Fabric.Route and routeRow).
+//
 // Link capacities and propagation delays are set by internal/cluster to the
 // paper's measured values (§4.4: 100 Mbps Edison NICs, 1 Gbps Dell NICs and
 // inter-switch links; RTTs of 1.3 ms E–E, 0.8 ms D–E, 0.24 ms D–D).
@@ -25,10 +33,15 @@ import (
 	"edisim/internal/units"
 )
 
+// Vertex is a dense handle to one host or switch of a Fabric, issued by
+// AddVertex in registration order (0, 1, 2, ...). It is only meaningful on
+// the fabric that issued it.
+type Vertex int32
+
 // Link is one direction of a cable: src -> dst with a capacity and a
 // propagation delay. Duplex cables are two Links.
 type Link struct {
-	Src, Dst string
+	Src, Dst Vertex
 	Capacity units.BytesPerSec
 	Delay    float64 // one-way propagation delay in seconds
 
@@ -83,11 +96,17 @@ func (l *Link) effCap() float64 { return float64(l.Capacity) * l.scale }
 
 // Fabric is the network graph plus the active flow set.
 type Fabric struct {
-	eng      *sim.Engine
-	vertices map[string]bool
-	adj      map[string][]*Link
-	links    []*Link
-	routes   map[[2]string][]*Link
+	eng   *sim.Engine
+	vid   map[string]Vertex // name -> handle
+	names []string          // handle -> name
+	adj   [][]*Link         // adj[v]: links leaving v, in Connect order
+	links []*Link
+
+	// routes is the route table, indexed by source (see Route); nil until
+	// the first route is read after the topology last changed. bfsQueue is
+	// the BFS's reusable queue.
+	routes   []*routeRow
+	bfsQueue []Vertex
 
 	// flows is the live max-min flow set. Maintained by swap-removal (each
 	// flow carries its index), so iteration order is NOT admission order;
@@ -131,12 +150,7 @@ type Fabric struct {
 
 // NewFabric returns an empty network on the engine.
 func NewFabric(eng *sim.Engine) *Fabric {
-	f := &Fabric{
-		eng:      eng,
-		vertices: make(map[string]bool),
-		adj:      make(map[string][]*Link),
-		routes:   make(map[[2]string][]*Link),
-	}
+	f := &Fabric{eng: eng, vid: make(map[string]Vertex)}
 	f.completeFn = f.completeFlows
 	return f
 }
@@ -159,95 +173,212 @@ func (f *Fabric) SetEagerReference(on bool) {
 // Engine returns the engine the fabric runs on.
 func (f *Fabric) Engine() *sim.Engine { return f.eng }
 
-// AddVertex registers a host or switch by name. Re-adding is a no-op.
-func (f *Fabric) AddVertex(name string) {
-	f.vertices[name] = true
+// AddVertex registers a host or switch by name and returns its handle.
+// Re-adding a name returns the handle it already has.
+func (f *Fabric) AddVertex(name string) Vertex {
+	if v, ok := f.vid[name]; ok {
+		return v
+	}
+	v := Vertex(len(f.names))
+	f.vid[name] = v
+	f.names = append(f.names, name)
+	f.adj = append(f.adj, nil)
+	f.routes = nil
+	return v
+}
+
+// Vertex resolves a registered name to its handle. An unknown name panics:
+// topologies are static and a missing vertex is a configuration bug.
+// Callers resolve names once, when they are built, and keep the handles.
+func (f *Fabric) Vertex(name string) Vertex {
+	v, ok := f.vid[name]
+	if !ok {
+		panic(fmt.Sprintf("netsim: unknown vertex %q", name))
+	}
+	return v
+}
+
+// Name reports the name v was registered under.
+func (f *Fabric) Name(v Vertex) string {
+	f.mustOwn(v)
+	return f.names[v]
+}
+
+// mustOwn panics unless v is a handle this fabric issued.
+func (f *Fabric) mustOwn(v Vertex) {
+	if v < 0 || int(v) >= len(f.names) {
+		panic(fmt.Sprintf("netsim: unknown vertex %d", v))
+	}
 }
 
 // Connect joins a and b with a duplex cable of the given per-direction
 // capacity and one-way propagation delay. Routes are invalidated.
-func (f *Fabric) Connect(a, b string, capacity units.BytesPerSec, delay float64) {
-	if !f.vertices[a] || !f.vertices[b] {
-		panic(fmt.Sprintf("netsim: connect of unknown vertex %q or %q", a, b))
-	}
-	if capacity <= 0 {
-		panic("netsim: non-positive link capacity")
-	}
-	for _, pair := range [][2]string{{a, b}, {b, a}} {
-		l := &Link{Src: pair[0], Dst: pair[1], Capacity: capacity, Delay: delay,
-			eng: f.eng, scale: 1}
-		f.adj[pair[0]] = append(f.adj[pair[0]], l)
-		f.links = append(f.links, l)
-	}
-	f.routes = make(map[[2]string][]*Link)
+func (f *Fabric) Connect(a, b Vertex, capacity units.BytesPerSec, delay float64) {
+	f.ConnectAsym(a, b, capacity, delay)
+	f.ConnectAsym(b, a, capacity, delay)
 }
 
-// ConnectAsym joins a -> b only, for asymmetric capacities.
-func (f *Fabric) ConnectAsym(a, b string, capacity units.BytesPerSec, delay float64) {
-	if !f.vertices[a] || !f.vertices[b] {
-		panic(fmt.Sprintf("netsim: connect of unknown vertex %q or %q", a, b))
+// ConnectAsym joins a -> b only, for asymmetric capacities. Routes are
+// invalidated.
+func (f *Fabric) ConnectAsym(a, b Vertex, capacity units.BytesPerSec, delay float64) {
+	f.mustOwn(a)
+	f.mustOwn(b)
+	if capacity <= 0 {
+		panic("netsim: non-positive link capacity")
 	}
 	l := &Link{Src: a, Dst: b, Capacity: capacity, Delay: delay, eng: f.eng, scale: 1}
 	f.adj[a] = append(f.adj[a], l)
 	f.links = append(f.links, l)
-	f.routes = make(map[[2]string][]*Link)
+	f.routes = nil
+}
+
+// routeBlock is how many destinations share one lazily allocated block of
+// a route row.
+const routeBlock = 64
+
+// routeRow is the route table's row for one source: how the source's paths
+// are found, and the paths read so far. Paths live in blocks of routeBlock
+// destinations allocated on first read, so a source that talks to a few
+// destinations of a large fabric pays for those blocks only.
+//
+// A source whose only out-link l leads to a vertex with several (a host on
+// its access switch) has no search of its own: a BFS from it first reaches
+// l.Dst and then runs exactly as a BFS from l.Dst would — the source itself
+// leads nowhere new — so its path to any other vertex is l followed by
+// l.Dst's path. Such a row sets up and borrows l.Dst's row; every other row
+// holds its own BFS tree in via.
+type routeRow struct {
+	up    *Link
+	via   []*Link     // via[v]: the tree link into v; nil for the source and unreachable vertices
+	paths [][][]*Link // paths[dst/routeBlock][dst%routeBlock], nil until read
 }
 
 // Route returns the shortest path (in hops) from src to dst as directed
-// links, memoized. It panics when no route exists: topologies are static and
-// a missing route is a configuration bug.
-func (f *Fabric) Route(src, dst string) []*Link {
+// links, from the route table; ties go to the earlier-connected link, as a
+// BFS over links in Connect order finds them. The returned slice is shared
+// and must not be modified. It panics when no route exists: topologies are
+// static and a missing route is a configuration bug.
+func (f *Fabric) Route(src, dst Vertex) []*Link {
 	if src == dst {
 		return nil
 	}
-	key := [2]string{src, dst}
-	if p, ok := f.routes[key]; ok {
+	if p := f.stored(src, dst); p != nil {
 		return p
 	}
-	// BFS over vertices.
-	prev := map[string]*Link{src: nil}
-	queue := []string{src}
-	for len(queue) > 0 && prev[dst] == nil {
-		v := queue[0]
-		queue = queue[1:]
-		for _, l := range f.adj[v] {
-			if _, seen := prev[l.Dst]; !seen {
-				prev[l.Dst] = l
-				queue = append(queue, l.Dst)
+	if p := f.fillRoute(src, dst); p != nil {
+		return p
+	}
+	panic(fmt.Sprintf("netsim: no route %s -> %s", f.names[src], f.names[dst]))
+}
+
+// stored returns the path the route table holds for src -> dst, or nil.
+func (f *Fabric) stored(src, dst Vertex) []*Link {
+	if int(src) >= len(f.routes) || dst < 0 {
+		return nil
+	}
+	r := f.routes[src]
+	if r == nil || int(dst)/routeBlock >= len(r.paths) {
+		return nil
+	}
+	if b := r.paths[dst/routeBlock]; b != nil {
+		return b[dst%routeBlock]
+	}
+	return nil
+}
+
+// fillRoute is the first read of src -> dst (src != dst): it builds src's
+// row if needed, then materializes and stores the path. It returns nil when
+// dst is unreachable.
+func (f *Fabric) fillRoute(src, dst Vertex) []*Link {
+	f.mustOwn(src)
+	f.mustOwn(dst)
+	if f.routes == nil {
+		f.routes = make([]*routeRow, len(f.names))
+	}
+	r := f.routes[src]
+	if r == nil {
+		r = f.newRow(src)
+		f.routes[src] = r
+	}
+	var path []*Link
+	if r.up != nil {
+		var rest []*Link
+		if u := r.up.Dst; u != dst {
+			if rest = f.stored(u, dst); rest == nil {
+				rest = f.fillRoute(u, dst)
+			}
+			if rest == nil {
+				return nil
 			}
 		}
-		if _, ok := prev[dst]; ok {
-			break
+		path = make([]*Link, 1+len(rest))
+		path[0] = r.up
+		copy(path[1:], rest)
+	} else {
+		n := 0
+		for l := r.via[dst]; l != nil; l = r.via[l.Src] {
+			n++
+		}
+		if n == 0 {
+			return nil
+		}
+		path = make([]*Link, n)
+		for l := r.via[dst]; l != nil; l = r.via[l.Src] {
+			n--
+			path[n] = l
 		}
 	}
-	back, ok := prev[dst]
-	if !ok || back == nil {
-		panic(fmt.Sprintf("netsim: no route %s -> %s", src, dst))
+	b := r.paths[dst/routeBlock]
+	if b == nil {
+		b = make([][]*Link, routeBlock)
+		r.paths[dst/routeBlock] = b
 	}
-	var rev []*Link
-	for l := back; l != nil; l = prev[l.Src] {
-		rev = append(rev, l)
-	}
-	path := make([]*Link, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
-	}
-	f.routes[key] = path
+	b[dst%routeBlock] = path
 	return path
 }
 
-// Latency reports the one-way propagation delay from src to dst (no
-// queueing, no transmission), i.e. an idealized tiny-packet trip.
-func (f *Fabric) Latency(src, dst string) float64 {
+// newRow builds src's route row: it borrows the next vertex's row when src
+// has a single out-link to a vertex with several (see routeRow), and
+// otherwise runs one breadth-first search over links in Connect order, in
+// which the first link to reach a vertex becomes its tree link.
+func (f *Fabric) newRow(src Vertex) *routeRow {
+	n := len(f.names)
+	r := &routeRow{paths: make([][][]*Link, (n+routeBlock-1)/routeBlock)}
+	if out := f.adj[src]; len(out) == 1 && out[0].Dst != src && len(f.adj[out[0].Dst]) > 1 {
+		r.up = out[0]
+		return r
+	}
+	r.via = make([]*Link, n)
+	q := append(f.bfsQueue[:0], src)
+	for i := 0; i < len(q); i++ {
+		for _, l := range f.adj[q[i]] {
+			if l.Dst != src && r.via[l.Dst] == nil {
+				r.via[l.Dst] = l
+				q = append(q, l.Dst)
+			}
+		}
+	}
+	f.bfsQueue = q
+	return r
+}
+
+// pathDelay is the summed propagation delay of a path.
+func pathDelay(path []*Link) float64 {
 	var d float64
-	for _, l := range f.Route(src, dst) {
+	for _, l := range path {
 		d += l.Delay
 	}
 	return d
 }
 
+// Latency reports the one-way propagation delay from src to dst (no
+// queueing, no transmission), i.e. an idealized tiny-packet trip.
+func (f *Fabric) Latency(src, dst Vertex) float64 {
+	return pathDelay(f.Route(src, dst))
+}
+
 // RTT reports Latency both ways, matching what ping measures on idle links.
-func (f *Fabric) RTT(a, b string) float64 {
+func (f *Fabric) RTT(a, b Vertex) float64 {
 	return f.Latency(a, b) + f.Latency(b, a)
 }
 
@@ -266,13 +397,11 @@ func (f *Fabric) RTT(a, b string) float64 {
 // flushed — dropped at cut time without their done callbacks, so a restore
 // does not bring them back. Messages reaching a cut link are dropped too
 // (see message).
-func (f *Fabric) SetVertexLinks(v string, scale float64) {
+func (f *Fabric) SetVertexLinks(v Vertex, scale float64) {
 	if !(scale >= 0) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("netsim: link scale %g must be finite and non-negative", scale))
 	}
-	if !f.vertices[v] {
-		panic(fmt.Sprintf("netsim: SetVertexLinks of unknown vertex %q", v))
-	}
+	f.mustOwn(v)
 	if f.eager {
 		f.advanceFlows()
 	}

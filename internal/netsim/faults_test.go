@@ -10,11 +10,12 @@ import (
 func TestSetVertexLinksDegradeSlowsFlow(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, 10*units.MBps, 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	var doneAt sim.Time
 	// 10 MB at 10 MB/s = 1 s healthy. Halving b's links at t=0.5 leaves
 	// 5 MB to drain at 5 MB/s: done at 1.5 s.
-	f.StartFlow("a", "b", 10*units.MB, func() { doneAt = eng.Now() })
-	eng.After(0.5, func() { f.SetVertexLinks("b", 0.5) })
+	f.StartFlow(a, b, 10*units.MB, func() { doneAt = eng.Now() })
+	eng.After(0.5, func() { f.SetVertexLinks(b, 0.5) })
 	eng.Run()
 	if !almost(float64(doneAt), 1.5, 1e-9) {
 		t.Fatalf("degraded flow done at %v, want 1.5", doneAt)
@@ -27,12 +28,13 @@ func TestSetVertexLinksRestoreIsExact(t *testing.T) {
 	run := func(touch bool) sim.Time {
 		eng := sim.NewEngine()
 		f := lineFabric(eng, 10*units.MBps, 1e-3)
+		a, b := f.Vertex("a"), f.Vertex("b")
 		if touch {
-			f.SetVertexLinks("b", 0.25)
-			f.SetVertexLinks("b", 1)
+			f.SetVertexLinks(b, 0.25)
+			f.SetVertexLinks(b, 1)
 		}
 		var doneAt sim.Time
-		f.StartFlow("a", "b", 7*units.MB, func() { doneAt = eng.Now() })
+		f.StartFlow(a, b, 7*units.MB, func() { doneAt = eng.Now() })
 		eng.Run()
 		return doneAt
 	}
@@ -44,9 +46,10 @@ func TestSetVertexLinksRestoreIsExact(t *testing.T) {
 func TestLinkCutAbortsCrossingFlows(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, 10*units.MBps, 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	done := false
-	f.StartFlow("a", "b", 10*units.MB, func() { done = true })
-	eng.After(0.5, func() { f.SetVertexLinks("b", 0) })
+	f.StartFlow(a, b, 10*units.MB, func() { done = true })
+	eng.After(0.5, func() { f.SetVertexLinks(b, 0) })
 	eng.Run()
 	if done {
 		t.Fatal("flow across a cut link completed; its done callback must never fire")
@@ -65,12 +68,12 @@ func TestLinkCutSparesDisjointFlows(t *testing.T) {
 		f.AddVertex(v)
 	}
 	for _, v := range []string{"a", "b", "c", "d"} {
-		f.Connect(v, "sw", 10*units.MBps, 0)
+		f.Connect(f.Vertex(v), f.Vertex("sw"), 10*units.MBps, 0)
 	}
 	var abDone, cdDone bool
-	f.StartFlow("a", "b", 10*units.MB, func() { abDone = true })
-	f.StartFlow("c", "d", 10*units.MB, func() { cdDone = true })
-	eng.After(0.5, func() { f.SetVertexLinks("d", 0) })
+	f.StartFlow(f.Vertex("a"), f.Vertex("b"), 10*units.MB, func() { abDone = true })
+	f.StartFlow(f.Vertex("c"), f.Vertex("d"), 10*units.MB, func() { cdDone = true })
+	eng.After(0.5, func() { f.SetVertexLinks(f.Vertex("d"), 0) })
 	eng.Run()
 	if !abDone || cdDone {
 		t.Fatalf("after cutting d: a→b done=%v (want true), c→d done=%v (want false)", abDone, cdDone)
@@ -80,12 +83,13 @@ func TestLinkCutSparesDisjointFlows(t *testing.T) {
 func TestFlowOverDownLinkWaitsForRestore(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, 10*units.MBps, 0)
-	f.SetVertexLinks("b", 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
+	f.SetVertexLinks(b, 0)
 	var doneAt sim.Time
 	// Admitted at rate 0 while the link is down; restored at t=2, the
 	// 10 MB drain at 10 MB/s, done at 3.
-	f.StartFlow("a", "b", 10*units.MB, func() { doneAt = eng.Now() })
-	eng.After(2, func() { f.SetVertexLinks("b", 1) })
+	f.StartFlow(a, b, 10*units.MB, func() { doneAt = eng.Now() })
+	eng.After(2, func() { f.SetVertexLinks(b, 1) })
 	eng.Run()
 	if !almost(float64(doneAt), 3.0, 1e-9) {
 		t.Fatalf("flow over restored link done at %v, want 3.0", doneAt)
@@ -95,9 +99,10 @@ func TestFlowOverDownLinkWaitsForRestore(t *testing.T) {
 func TestMessageDroppedAtDownLink(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, 10*units.MBps, 0)
-	f.SetVertexLinks("b", 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
+	f.SetVertexLinks(b, 0)
 	delivered := false
-	f.Send("a", "b", 1000, func() { delivered = true })
+	f.Send(a, b, 1000, func() { delivered = true })
 	eng.Run()
 	if delivered {
 		t.Fatal("message crossed a down link")
@@ -111,17 +116,18 @@ func TestMessageDroppedAtDownLink(t *testing.T) {
 func TestCutFlushesQueuedMessages(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, 10*units.MBps, 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	delivered := map[string]sim.Time{}
 	for _, name := range []string{"A", "B", "C"} {
-		f.Send("a", "b", units.MB, func() { delivered[name] = eng.Now() })
+		f.Send(a, b, units.MB, func() { delivered[name] = eng.Now() })
 	}
-	eng.At(0.05, func() { f.SetVertexLinks("a", 0) })
-	eng.At(0.06, func() { f.SetVertexLinks("a", 1) })
+	eng.At(0.05, func() { f.SetVertexLinks(a, 0) })
+	eng.At(0.06, func() { f.SetVertexLinks(a, 1) })
 	eng.Run()
 	if len(delivered) != 1 || !almost(float64(delivered["A"]), 0.2, 1e-12) {
 		t.Fatalf("delivered %v, want only A at 0.2", delivered)
 	}
-	if got := f.Route("a", "b")[0].Bytes(); got != units.MB {
+	if got := f.Route(a, b)[0].Bytes(); got != units.MB {
 		t.Fatalf("cut link carried %v, want only A's %v", got, units.MB)
 	}
 	if len(f.freeMsgs) != msgChunk {
@@ -137,12 +143,13 @@ func TestCutFlushesQueuedMessages(t *testing.T) {
 func TestDegradeRetimesQueuedMessages(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, 10*units.MBps, 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	delivered := map[string]sim.Time{}
 	for _, name := range []string{"A", "B", "C"} {
-		f.Send("a", "b", units.MB, func() { delivered[name] = eng.Now() })
+		f.Send(a, b, units.MB, func() { delivered[name] = eng.Now() })
 	}
-	eng.At(0.05, func() { f.SetVertexLinks("a", 0.5) })
-	eng.At(0.15, func() { f.SetVertexLinks("a", 1) })
+	eng.At(0.05, func() { f.SetVertexLinks(a, 0.5) })
+	eng.At(0.15, func() { f.SetVertexLinks(a, 1) })
 	eng.Run()
 	// a→sw: A [0, 0.1], B [0.1, 0.3] at half rate, C [0.3, 0.4]; sw→b adds
 	// 0.1 s each, queued behind the previous message.
@@ -157,6 +164,7 @@ func TestDegradeRetimesQueuedMessages(t *testing.T) {
 func TestSetVertexLinksRejectsBadScale(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, 10*units.MBps, 0)
+	b := f.Vertex("b")
 	for _, bad := range []float64{-1, nan()} {
 		func() {
 			defer func() {
@@ -164,7 +172,7 @@ func TestSetVertexLinksRejectsBadScale(t *testing.T) {
 					t.Fatalf("SetVertexLinks(%v) did not panic", bad)
 				}
 			}()
-			f.SetVertexLinks("b", bad)
+			f.SetVertexLinks(b, bad)
 		}()
 	}
 	func() {
@@ -173,7 +181,7 @@ func TestSetVertexLinksRejectsBadScale(t *testing.T) {
 				t.Fatal("SetVertexLinks on unknown vertex did not panic")
 			}
 		}()
-		f.SetVertexLinks("nope", 0.5)
+		f.SetVertexLinks(Vertex(len(f.names)), 0.5)
 	}()
 }
 
@@ -188,11 +196,12 @@ func nan() float64 {
 func BenchmarkSendDegraded(b *testing.B) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Gbps(1), 0)
-	f.SetVertexLinks("b", 0.5)
+	src, dst := f.Vertex("a"), f.Vertex("b")
+	f.SetVertexLinks(dst, 0.5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Send("a", "b", 1000, nil)
+		f.Send(src, dst, 1000, nil)
 		eng.Run()
 	}
 }

@@ -24,8 +24,6 @@ import (
 // completion is therefore closed-form (doneAt = lastT + remaining/rate) and
 // lives in the fabric's completion heap (doneheap.go).
 type Flow struct {
-	Src, Dst string
-
 	fab       *Fabric
 	seq       uint64 // unique per start; 0 while on the freelist
 	path      []*Link
@@ -109,10 +107,9 @@ func (f *Fabric) recycleFlow(fl *Flow) {
 // StartFlow begins a bulk transfer of size bytes from src to dst; done runs
 // when the last byte arrives. A zero-size flow completes via a zero-delay
 // event. Same-host transfers skip the network (memory copy, modeled free).
-func (f *Fabric) StartFlow(src, dst string, size units.Bytes, done func()) FlowRef {
+func (f *Fabric) StartFlow(src, dst Vertex, size units.Bytes, done func()) FlowRef {
 	f.flowSeq++
 	fl := f.allocFlow()
-	fl.Src, fl.Dst = src, dst
 	fl.seq = f.flowSeq
 	fl.remaining = float64(size)
 	fl.rate = 0
@@ -126,7 +123,7 @@ func (f *Fabric) StartFlow(src, dst string, size units.Bytes, done func()) FlowR
 	fl.path = f.Route(src, dst)
 	// Propagation: first byte takes the path latency; model by delaying
 	// admission of the flow into the bandwidth-sharing set.
-	f.eng.After(f.Latency(src, dst), fl.admitFn)
+	f.eng.After(pathDelay(fl.path), fl.admitFn)
 	return ref
 }
 

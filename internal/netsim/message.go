@@ -40,7 +40,7 @@ type message struct {
 	// recycling it.
 	hasReply  bool
 	replySize units.Bytes
-	src, dst  string
+	src, dst  Vertex
 
 	// arrival is the pending hop event, kept so a fault can re-time or
 	// cancel it while the message waits in a link's FIFO; arrivedFn is the
@@ -207,7 +207,7 @@ func (m *message) deliver() {
 //
 // This is the right model for RPC-sized messages; use StartFlow for bulk
 // data so that one big transfer does not head-of-line-block a link.
-func (f *Fabric) Send(src, dst string, size units.Bytes, done func()) {
+func (f *Fabric) Send(src, dst Vertex, size units.Bytes, done func()) {
 	if size < 0 {
 		panic("netsim: negative message size")
 	}
@@ -227,7 +227,7 @@ func (f *Fabric) Send(src, dst string, size units.Bytes, done func()) {
 // RoundTrip sends a request of reqSize from src to dst, then a reply of
 // respSize back; done runs when the reply fully arrives at src. The whole
 // round trip rides one pooled record, so it does not allocate either.
-func (f *Fabric) RoundTrip(src, dst string, reqSize, respSize units.Bytes, done func()) {
+func (f *Fabric) RoundTrip(src, dst Vertex, reqSize, respSize units.Bytes, done func()) {
 	if reqSize < 0 || respSize < 0 {
 		panic("netsim: negative message size")
 	}

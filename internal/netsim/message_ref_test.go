@@ -44,7 +44,7 @@ type refMsg struct {
 	done      func()
 	hasReply  bool
 	replySize units.Bytes
-	src, dst  string
+	src, dst  Vertex
 
 	acqFn, txFn, hopFn func()
 }
@@ -107,7 +107,7 @@ func (m *refMsg) deliver() {
 }
 
 // Send mirrors Fabric.Send on the per-hop machine.
-func (r *refFabric) Send(src, dst string, size units.Bytes, done func()) {
+func (r *refFabric) Send(src, dst Vertex, size units.Bytes, done func()) {
 	if src == dst {
 		r.eng.After(0, done)
 		return
@@ -120,7 +120,7 @@ func (r *refFabric) Send(src, dst string, size units.Bytes, done func()) {
 }
 
 // RoundTrip mirrors Fabric.RoundTrip on the per-hop machine.
-func (r *refFabric) RoundTrip(src, dst string, reqSize, respSize units.Bytes, done func()) {
+func (r *refFabric) RoundTrip(src, dst Vertex, reqSize, respSize units.Bytes, done func()) {
 	m := r.newMsg()
 	m.size = reqSize
 	m.done = done
@@ -140,14 +140,14 @@ func (r *refFabric) Bytes(l *Link) units.Bytes { return r.bytes[l] }
 
 // messenger is the message API both implementations offer.
 type messenger interface {
-	Send(src, dst string, size units.Bytes, done func())
-	RoundTrip(src, dst string, reqSize, respSize units.Bytes, done func())
+	Send(src, dst Vertex, size units.Bytes, done func())
+	RoundTrip(src, dst Vertex, reqSize, respSize units.Bytes, done func())
 }
 
 // hopOp is one message of the differential traffic.
 type hopOp struct {
 	at        sim.Time
-	src, dst  string
+	src, dst  Vertex
 	size      units.Bytes
 	respSize  units.Bytes
 	roundTrip bool
@@ -156,7 +156,7 @@ type hopOp struct {
 // linkFault is one SetVertexLinks call of the differential fault plan.
 type linkFault struct {
 	at    sim.Time
-	v     string
+	v     Vertex
 	scale float64
 }
 
@@ -190,7 +190,7 @@ func msgSize(rng *rand.Rand) units.Bytes {
 // transmission — so each restore comes after the cut link's queue drained.
 func newHopPlan(seed int64) hopPlan {
 	rng := rand.New(rand.NewSource(seed))
-	_, hosts := leafSpineFabric(sim.NewEngine())
+	f, hosts := leafSpineFabric(sim.NewEngine())
 	const horizon = 0.6
 	var p hopPlan
 	for t := rng.ExpFloat64() / 8000; t < horizon; t += rng.ExpFloat64() / 8000 {
@@ -210,7 +210,7 @@ func newHopPlan(seed int64) hopPlan {
 		}
 		p.ops = append(p.ops, op)
 	}
-	victims := []string{hosts[0], hosts[5], "leaf1"}
+	victims := []Vertex{hosts[0], hosts[5], f.Vertex("leaf1")}
 	for t := 0.02 + 0.02*rng.Float64(); t < horizon; {
 		v := victims[rng.Intn(len(victims))]
 		if rng.Intn(3) == 0 {

@@ -12,13 +12,14 @@ import (
 func TestMessageRecordsRecycled(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
-	f.Send("a", "b", 1000, nil)
+	a, b := f.Vertex("a"), f.Vertex("b")
+	f.Send(a, b, 1000, nil)
 	eng.Run()
 	if got := len(f.freeMsgs); got != msgChunk {
 		t.Fatalf("free list has %d records after delivery, want %d", got, msgChunk)
 	}
 	m1 := f.freeMsgs[len(f.freeMsgs)-1]
-	f.Send("a", "b", 1000, nil)
+	f.Send(a, b, 1000, nil)
 	if len(f.freeMsgs) != msgChunk-1 {
 		t.Fatal("record not taken from the pool")
 	}
@@ -36,8 +37,9 @@ func TestMessageRecordsRecycled(t *testing.T) {
 func TestRoundTripSameHost(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
+	a := f.Vertex("a")
 	done := false
-	f.RoundTrip("a", "a", 100, 100, func() { done = true })
+	f.RoundTrip(a, a, 100, 100, func() { done = true })
 	if done {
 		t.Fatal("self round trip completed synchronously")
 	}
@@ -56,12 +58,13 @@ func TestRoundTripSameHost(t *testing.T) {
 func TestSendSteadyStateNoAlloc(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	cpu := sim.NewProcShare(eng, 2, 1000)
 	fn := func() {}
 	// Warm the pools, the route cache and the waiter ring.
 	for i := 0; i < 10; i++ {
-		f.Send("a", "b", 1000, fn)
-		f.RoundTrip("a", "b", 100, 100, fn)
+		f.Send(a, b, 1000, fn)
+		f.RoundTrip(a, b, 100, 100, fn)
 		cpu.Submit(1, fn)
 		eng.Run()
 	}
@@ -69,12 +72,12 @@ func TestSendSteadyStateNoAlloc(t *testing.T) {
 		name string
 		op   func()
 	}{
-		{"Send", func() { f.Send("a", "b", 1000, fn) }},
-		{"RoundTrip", func() { f.RoundTrip("a", "b", 100, 100, fn) }},
+		{"Send", func() { f.Send(a, b, 1000, fn) }},
+		{"RoundTrip", func() { f.RoundTrip(a, b, 100, 100, fn) }},
 		{"ProcShare.Submit", func() { cpu.Submit(1, fn) }},
 		{"Send burst (queued)", func() {
 			for j := 0; j < 8; j++ {
-				f.Send("a", "b", 1000, fn)
+				f.Send(a, b, 1000, fn)
 			}
 		}},
 	}
@@ -93,14 +96,14 @@ func TestSendSteadyStateNoAlloc(t *testing.T) {
 	// advances by their transmission time, so the FIFO keeps holding about
 	// backlog messages while thousands pass through it.
 	const backlog = 48
-	l := f.Route("a", "b")[0]
+	l := f.Route(a, b)[0]
 	for j := 0; j < backlog; j++ {
-		f.Send("a", "b", 1000, fn)
+		f.Send(a, b, 1000, fn)
 	}
 	step := sim.Time(1100 / float64(units.Mbps(100)))
 	topUp := func() {
-		f.Send("a", "b", 1000, fn)
-		f.RoundTrip("a", "b", 100, 100, fn)
+		f.Send(a, b, 1000, fn)
+		f.RoundTrip(a, b, 100, 100, fn)
 		eng.RunUntil(eng.Now() + step)
 	}
 	for j := 0; j < 8*backlog; j++ {
@@ -122,10 +125,11 @@ func TestSendSteadyStateNoAlloc(t *testing.T) {
 func BenchmarkSend(b *testing.B) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Gbps(1), 0)
+	src, dst := f.Vertex("a"), f.Vertex("b")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Send("a", "b", 1000, nil)
+		f.Send(src, dst, 1000, nil)
 		eng.Run()
 	}
 }
@@ -135,11 +139,12 @@ func BenchmarkSend(b *testing.B) {
 func BenchmarkSendQueued(b *testing.B) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Gbps(1), 0)
+	src, dst := f.Vertex("a"), f.Vertex("b")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 8; j++ {
-			f.Send("a", "b", 1000, nil)
+			f.Send(src, dst, 1000, nil)
 		}
 		eng.Run()
 	}
@@ -150,10 +155,35 @@ func BenchmarkSendQueued(b *testing.B) {
 func BenchmarkRoundTrip(b *testing.B) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Gbps(1), 0)
+	src, dst := f.Vertex("a"), f.Vertex("b")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.RoundTrip("a", "b", 100, 100, nil)
+		f.RoundTrip(src, dst, 100, 100, nil)
 		eng.Run()
+	}
+}
+
+// TestRouteSteadyStateNoAlloc: once every pair's route has been read, Send,
+// RoundTrip and StartFlow between any hosts of a leaf/spine fabric make no
+// allocations: the route table hands out the stored paths by index.
+func TestRouteSteadyStateNoAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	f, hosts := leafSpineFabric(eng)
+	fn := func() {}
+	all := func() {
+		for _, src := range hosts {
+			for _, dst := range hosts {
+				f.Send(src, dst, 1000, fn)
+				f.RoundTrip(src, dst, 100, 200, fn)
+				f.StartFlow(src, dst, 1e5, fn)
+			}
+		}
+		eng.Run()
+	}
+	all() // warm the route table, the pools and the scratch
+	if allocs := testing.AllocsPerRun(20, all); allocs != 0 {
+		t.Fatalf("Send+RoundTrip+StartFlow over %d warm pairs allocate %.1f objects per round, want 0",
+			len(hosts)*len(hosts), allocs)
 	}
 }

@@ -18,19 +18,20 @@ func lineFabric(eng *sim.Engine, capacity units.BytesPerSec, delay float64) *Fab
 	for _, v := range []string{"a", "sw", "b"} {
 		f.AddVertex(v)
 	}
-	f.Connect("a", "sw", capacity, delay)
-	f.Connect("b", "sw", capacity, delay)
+	f.Connect(f.Vertex("a"), f.Vertex("sw"), capacity, delay)
+	f.Connect(f.Vertex("b"), f.Vertex("sw"), capacity, delay)
 	return f
 }
 
 func TestRouteShortestPath(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 1e-3)
-	p := f.Route("a", "b")
-	if len(p) != 2 || p[0].Src != "a" || p[1].Dst != "b" {
+	a, b := f.Vertex("a"), f.Vertex("b")
+	p := f.Route(a, b)
+	if len(p) != 2 || p[0].Src != a || p[1].Dst != b {
 		t.Fatalf("route %v", p)
 	}
-	if f.Route("a", "a") != nil {
+	if f.Route(a, a) != nil {
 		t.Fatal("self route not nil")
 	}
 }
@@ -45,17 +46,18 @@ func TestRouteMissingPanics(t *testing.T) {
 			t.Fatal("no panic for unroutable pair")
 		}
 	}()
-	f.Route("a", "b")
+	f.Route(f.Vertex("a"), f.Vertex("b"))
 }
 
 func TestLatencyAndRTT(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0.3e-3)
-	if !almost(f.Latency("a", "b"), 0.6e-3, 1e-12) {
-		t.Fatalf("latency %g", f.Latency("a", "b"))
+	a, b := f.Vertex("a"), f.Vertex("b")
+	if !almost(f.Latency(a, b), 0.6e-3, 1e-12) {
+		t.Fatalf("latency %g", f.Latency(a, b))
 	}
-	if !almost(f.RTT("a", "b"), 1.2e-3, 1e-12) {
-		t.Fatalf("rtt %g", f.RTT("a", "b"))
+	if !almost(f.RTT(a, b), 1.2e-3, 1e-12) {
+		t.Fatalf("rtt %g", f.RTT(a, b))
 	}
 }
 
@@ -63,7 +65,7 @@ func TestSendTransferTime(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0) // 12.5e6 B/s decimal
 	var doneAt sim.Time
-	f.Send("a", "b", units.Bytes(12.5e6), func() { doneAt = eng.Now() })
+	f.Send(f.Vertex("a"), f.Vertex("b"), units.Bytes(12.5e6), func() { doneAt = eng.Now() })
 	eng.Run()
 	// Store-and-forward over two hops: 1 s per hop.
 	if !almost(float64(doneAt), 2.0, 1e-9) {
@@ -74,10 +76,11 @@ func TestSendTransferTime(t *testing.T) {
 func TestSendQueueingDelay(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	var first, second sim.Time
 	size := units.Bytes(12.5e6) // 1s per hop
-	f.Send("a", "b", size, func() { first = eng.Now() })
-	f.Send("a", "b", size, func() { second = eng.Now() })
+	f.Send(a, b, size, func() { first = eng.Now() })
+	f.Send(a, b, size, func() { second = eng.Now() })
 	eng.Run()
 	if !almost(float64(first), 2.0, 1e-9) {
 		t.Fatalf("first at %v", first)
@@ -91,8 +94,9 @@ func TestSendQueueingDelay(t *testing.T) {
 func TestSendToSelf(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
+	a := f.Vertex("a")
 	done := false
-	f.Send("a", "a", units.MB, func() { done = true })
+	f.Send(a, a, units.MB, func() { done = true })
 	eng.Run()
 	if !done {
 		t.Fatal("self-send never completed")
@@ -102,8 +106,9 @@ func TestSendToSelf(t *testing.T) {
 func TestRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(800), 0.5e-3)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	var doneAt sim.Time
-	f.RoundTrip("a", "b", 100, 100, func() { doneAt = eng.Now() })
+	f.RoundTrip(a, b, 100, 100, func() { doneAt = eng.Now() })
 	eng.Run()
 	// Four propagation delays dominate: 4 × 0.5ms = 2ms (+tiny tx).
 	if float64(doneAt) < 2e-3 || float64(doneAt) > 2.1e-3 {
@@ -114,8 +119,9 @@ func TestRoundTrip(t *testing.T) {
 func TestFlowSingleBottleneck(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	var doneAt sim.Time
-	f.StartFlow("a", "b", units.Bytes(12.5e6), func() { doneAt = eng.Now() })
+	f.StartFlow(a, b, units.Bytes(12.5e6), func() { doneAt = eng.Now() })
 	eng.Run()
 	if !almost(float64(doneAt), 1.0, 1e-6) {
 		t.Fatalf("flow done at %v, want 1.0", doneAt)
@@ -125,10 +131,11 @@ func TestFlowSingleBottleneck(t *testing.T) {
 func TestFlowFairSharing(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	var t1, t2 sim.Time
 	size := units.Bytes(12.5e6)
-	f.StartFlow("a", "b", size, func() { t1 = eng.Now() })
-	f.StartFlow("a", "b", size, func() { t2 = eng.Now() })
+	f.StartFlow(a, b, size, func() { t1 = eng.Now() })
+	f.StartFlow(a, b, size, func() { t2 = eng.Now() })
 	eng.Run()
 	// Two flows share the a->sw link: both take ≈2s.
 	if !almost(float64(t1), 2.0, 1e-6) || !almost(float64(t2), 2.0, 1e-6) {
@@ -144,12 +151,12 @@ func TestFlowMaxMinUnsharedPath(t *testing.T) {
 		f.AddVertex(v)
 	}
 	for _, h := range []string{"a", "b", "c", "d"} {
-		f.Connect(h, "sw", units.Mbps(100), 0)
+		f.Connect(f.Vertex(h), f.Vertex("sw"), units.Mbps(100), 0)
 	}
 	var t1, t2 sim.Time
 	size := units.Bytes(12.5e6)
-	f.StartFlow("a", "b", size, func() { t1 = eng.Now() })
-	f.StartFlow("c", "d", size, func() { t2 = eng.Now() })
+	f.StartFlow(f.Vertex("a"), f.Vertex("b"), size, func() { t1 = eng.Now() })
+	f.StartFlow(f.Vertex("c"), f.Vertex("d"), size, func() { t2 = eng.Now() })
 	eng.Run()
 	if !almost(float64(t1), 1.0, 1e-6) || !almost(float64(t2), 1.0, 1e-6) {
 		t.Fatalf("disjoint flows done at %v, %v, want 1.0", t1, t2)
@@ -161,10 +168,11 @@ func TestFlowBottleneckRelease(t *testing.T) {
 	// long one speeds up: total time < sequential but > unshared.
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	const mbps = 12.5e6
 	var longDone sim.Time
-	f.StartFlow("a", "b", units.Bytes(2*mbps), func() { longDone = eng.Now() })
-	f.StartFlow("a", "b", units.Bytes(0.5*mbps), nil)
+	f.StartFlow(a, b, units.Bytes(2*mbps), func() { longDone = eng.Now() })
+	f.StartFlow(a, b, units.Bytes(0.5*mbps), nil)
 	eng.Run()
 	// Short: 0.5 at half rate → done at t=1. Long: 0.5 done by t=1,
 	// remaining 1.5 at full rate → done at 2.5.
@@ -176,8 +184,9 @@ func TestFlowBottleneckRelease(t *testing.T) {
 func TestFlowZeroSize(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
+	a, b := f.Vertex("a"), f.Vertex("b")
 	done := false
-	f.StartFlow("a", "b", 0, func() { done = true })
+	f.StartFlow(a, b, 0, func() { done = true })
 	eng.Run()
 	if !done {
 		t.Fatal("zero-size flow never completed")
@@ -187,7 +196,8 @@ func TestFlowZeroSize(t *testing.T) {
 func TestLinkByteAccounting(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
-	f.Send("a", "b", units.MB, nil)
+	a, b := f.Vertex("a"), f.Vertex("b")
+	f.Send(a, b, units.MB, nil)
 	eng.Run()
 	// Message crosses 2 links.
 	if got := f.TotalBytes(); got != 2*units.MB {
@@ -205,7 +215,7 @@ func TestFlowFairnessProperty(t *testing.T) {
 		size := units.Bytes(12.5e6 / 4) // 0.25s alone
 		times := make([]sim.Time, 0, n)
 		for i := 0; i < n; i++ {
-			fab.StartFlow("a", "b", size, func() { times = append(times, eng.Now()) })
+			fab.StartFlow(fab.Vertex("a"), fab.Vertex("b"), size, func() { times = append(times, eng.Now()) })
 		}
 		eng.Run()
 		want := 0.25 * float64(n)

@@ -12,7 +12,8 @@ import (
 func TestFlowRecordsRecycled(t *testing.T) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Mbps(100), 0)
-	ref1 := f.StartFlow("a", "b", units.Bytes(1e6), nil)
+	a, b := f.Vertex("a"), f.Vertex("b")
+	ref1 := f.StartFlow(a, b, units.Bytes(1e6), nil)
 	eng.Run()
 	if !ref1.Finished() {
 		t.Fatal("first flow not finished")
@@ -21,7 +22,7 @@ func TestFlowRecordsRecycled(t *testing.T) {
 		t.Fatalf("free list has %d records after completion, want %d", got, flowChunk)
 	}
 	// The next flow must reuse the recycled record; the stale ref stays dead.
-	ref2 := f.StartFlow("a", "b", units.Bytes(1e6), nil)
+	ref2 := f.StartFlow(a, b, units.Bytes(1e6), nil)
 	if ref1.fl != ref2.fl {
 		t.Fatal("record not reused from the pool")
 	}
@@ -51,10 +52,11 @@ func TestFlowZeroRefInert(t *testing.T) {
 func BenchmarkFlowChurn(b *testing.B) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Gbps(1), 0)
+	src, dst := f.Vertex("a"), f.Vertex("b")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.StartFlow("a", "b", units.Bytes(1e6), nil)
+		f.StartFlow(src, dst, units.Bytes(1e6), nil)
 		eng.Run()
 	}
 }
@@ -64,11 +66,12 @@ func BenchmarkFlowChurn(b *testing.B) {
 func BenchmarkFlowChurnConcurrent(b *testing.B) {
 	eng := sim.NewEngine()
 	f := lineFabric(eng, units.Gbps(1), 0)
+	src, dst := f.Vertex("a"), f.Vertex("b")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 8; j++ {
-			f.StartFlow("a", "b", units.Bytes(1e6), nil)
+			f.StartFlow(src, dst, units.Bytes(1e6), nil)
 		}
 		eng.Run()
 	}

@@ -13,21 +13,19 @@ import (
 
 // leafSpineFabric builds a 2-spine × 2-leaf × 4-host fat tree: 100 Mbps
 // host access links, 1 Gbps leaf-spine uplinks (the platform_matrix shape).
-func leafSpineFabric(eng *sim.Engine) (*Fabric, []string) {
+func leafSpineFabric(eng *sim.Engine) (*Fabric, []Vertex) {
 	f := NewFabric(eng)
-	var hosts []string
+	var hosts []Vertex
 	for s := 0; s < 2; s++ {
 		f.AddVertex(fmt.Sprintf("spine%d", s))
 	}
 	for l := 0; l < 2; l++ {
-		leaf := fmt.Sprintf("leaf%d", l)
-		f.AddVertex(leaf)
+		leaf := f.AddVertex(fmt.Sprintf("leaf%d", l))
 		for s := 0; s < 2; s++ {
-			f.Connect(leaf, fmt.Sprintf("spine%d", s), units.Gbps(1), 0.1e-3)
+			f.Connect(leaf, f.Vertex(fmt.Sprintf("spine%d", s)), units.Gbps(1), 0.1e-3)
 		}
 		for h := 0; h < 4; h++ {
-			host := fmt.Sprintf("h%d-%d", l, h)
-			f.AddVertex(host)
+			host := f.AddVertex(fmt.Sprintf("h%d-%d", l, h))
 			f.Connect(host, leaf, units.Mbps(100), 0.2e-3)
 			hosts = append(hosts, host)
 		}
@@ -38,26 +36,24 @@ func leafSpineFabric(eng *sim.Engine) (*Fabric, []string) {
 // table6Fabric builds the paper's Table 6 testbed shape: 35 Edison-class
 // hosts (100 Mbps NICs) spread over three access switches, a Dell-class
 // host (1 Gbps NIC) on a fourth, 1 Gbps inter-switch links to a root.
-func table6Fabric(eng *sim.Engine) (*Fabric, []string) {
+func table6Fabric(eng *sim.Engine) (*Fabric, []Vertex) {
 	f := NewFabric(eng)
-	f.AddVertex("root")
-	var hosts []string
+	root := f.AddVertex("root")
+	var hosts []Vertex
 	for s := 0; s < 3; s++ {
-		sw := fmt.Sprintf("esw%d", s)
-		f.AddVertex(sw)
-		f.Connect(sw, "root", units.Gbps(1), 0.1e-3)
+		sw := f.AddVertex(fmt.Sprintf("esw%d", s))
+		f.Connect(sw, root, units.Gbps(1), 0.1e-3)
 		for h := 0; h < 12 && len(hosts) < 35; h++ {
-			host := fmt.Sprintf("e%02d", len(hosts))
-			f.AddVertex(host)
+			host := f.AddVertex(fmt.Sprintf("e%02d", len(hosts)))
 			f.Connect(host, sw, units.Mbps(100), 0.3e-3)
 			hosts = append(hosts, host)
 		}
 	}
-	f.AddVertex("dsw")
-	f.Connect("dsw", "root", units.Gbps(1), 0.1e-3)
-	f.AddVertex("dell")
-	f.Connect("dell", "dsw", units.Gbps(1), 0.1e-3)
-	hosts = append(hosts, "dell")
+	dsw := f.AddVertex("dsw")
+	f.Connect(dsw, root, units.Gbps(1), 0.1e-3)
+	dell := f.AddVertex("dell")
+	f.Connect(dell, dsw, units.Gbps(1), 0.1e-3)
+	hosts = append(hosts, dell)
 	return f, hosts
 }
 
@@ -66,7 +62,7 @@ func table6Fabric(eng *sim.Engine) (*Fabric, []string) {
 // slices are deterministic given the trace.
 type flowEvent struct {
 	at       float64
-	src, dst string
+	src, dst Vertex
 	size     units.Bytes
 }
 
@@ -100,7 +96,7 @@ func driveTrace(eng *sim.Engine, f *Fabric, trace []flowEvent) (doneTimes []sim.
 // randomTrace builds a reproducible arrival/departure mix: flow sizes span
 // RPC-ish to HDFS-block-ish so completions interleave heavily with
 // arrivals.
-func randomTrace(rng *rand.Rand, hosts []string, n int) []flowEvent {
+func randomTrace(rng *rand.Rand, hosts []Vertex, n int) []flowEvent {
 	trace := make([]flowEvent, n)
 	for i := range trace {
 		src := hosts[rng.Intn(len(hosts))]
@@ -136,7 +132,7 @@ func closeTo(a, b float64) bool {
 // the flow, the other finishes it a few ulps later) are excused only when
 // one side reads exactly 0.
 func TestLazyMatchesEagerReference(t *testing.T) {
-	builders := map[string]func(*sim.Engine) (*Fabric, []string){
+	builders := map[string]func(*sim.Engine) (*Fabric, []Vertex){
 		"leafSpine": leafSpineFabric,
 		"table6":    table6Fabric,
 	}
@@ -163,11 +159,11 @@ func checkEquivalence(t *testing.T, trace []flowEvent, doneLazy, doneEager []sim
 	t.Helper()
 	for i := range doneLazy {
 		if (doneLazy[i] == 0) != (doneEager[i] == 0) {
-			t.Fatalf("flow %d (%s->%s): finished in one mode only: %v (lazy) vs %v (eager)",
+			t.Fatalf("flow %d (%d->%d): finished in one mode only: %v (lazy) vs %v (eager)",
 				i, trace[i].src, trace[i].dst, doneLazy[i], doneEager[i])
 		}
 		if !closeTo(float64(doneLazy[i]), float64(doneEager[i])) {
-			t.Fatalf("flow %d (%s->%s): completion %v (lazy) != %v (eager)",
+			t.Fatalf("flow %d (%d->%d): completion %v (lazy) != %v (eager)",
 				i, trace[i].src, trace[i].dst, doneLazy[i], doneEager[i])
 		}
 	}
@@ -216,8 +212,8 @@ func checkEquivalence(t *testing.T, trace []flowEvent, doneLazy, doneEager []sim
 // rate-0 admissions that must wait for restore — the paths most likely to
 // break the lazy-crediting invariant.
 func faultStorm(eng *sim.Engine, f *Fabric, victims []string) {
-	for i, v := range victims {
-		v := v
+	for i, name := range victims {
+		v := f.Vertex(name)
 		base := 0.35 + 0.1*float64(i)
 		eng.At(sim.Time(base), func() { f.SetVertexLinks(v, 0) })        // cut
 		eng.At(sim.Time(base+0.3), func() { f.SetVertexLinks(v, 0.25) }) // partial restore, degraded
@@ -234,7 +230,7 @@ func faultStorm(eng *sim.Engine, f *Fabric, victims []string) {
 // window.
 func TestLazyMatchesEagerReferenceWithFaults(t *testing.T) {
 	builders := map[string]struct {
-		build   func(*sim.Engine) (*Fabric, []string)
+		build   func(*sim.Engine) (*Fabric, []Vertex)
 		victims []string
 	}{
 		"leafSpine": {leafSpineFabric, []string{"h0-1", "leaf1"}},
@@ -271,7 +267,7 @@ func TestLazyMatchesEagerReferenceWithFaults(t *testing.T) {
 						continue // aborted in both modes
 					}
 					if !closeTo(float64(doneLazy[i]), float64(doneEager[i])) {
-						t.Fatalf("flow %d (%s->%s): completion %v (lazy) != %v (eager)",
+						t.Fatalf("flow %d (%d->%d): completion %v (lazy) != %v (eager)",
 							i, trace[i].src, trace[i].dst, doneLazy[i], doneEager[i])
 					}
 				}
@@ -330,15 +326,15 @@ func TestIncrementalSkipsUntouchedComponent(t *testing.T) {
 	for _, v := range []string{"a", "b", "c", "d", "sw1", "sw2"} {
 		f.AddVertex(v)
 	}
-	f.Connect("a", "sw1", units.Mbps(100), 0)
-	f.Connect("b", "sw1", units.Mbps(100), 0)
-	f.Connect("c", "sw2", units.Mbps(100), 0)
-	f.Connect("d", "sw2", units.Mbps(100), 0)
+	f.Connect(f.Vertex("a"), f.Vertex("sw1"), units.Mbps(100), 0)
+	f.Connect(f.Vertex("b"), f.Vertex("sw1"), units.Mbps(100), 0)
+	f.Connect(f.Vertex("c"), f.Vertex("sw2"), units.Mbps(100), 0)
+	f.Connect(f.Vertex("d"), f.Vertex("sw2"), units.Mbps(100), 0)
 	// Long-lived flow in the c/d component.
-	long := f.StartFlow("c", "d", units.Bytes(125e6), nil)
+	long := f.StartFlow(f.Vertex("c"), f.Vertex("d"), units.Bytes(125e6), nil)
 	// Churn in the a/b component.
 	for i := 0; i < 5; i++ {
-		f.StartFlow("a", "b", units.Bytes(1e5), nil)
+		f.StartFlow(f.Vertex("a"), f.Vertex("b"), units.Bytes(1e5), nil)
 	}
 	eng.RunUntil(1)
 	if got := float64(long.Rate()); got != 12.5e6 {
@@ -368,16 +364,13 @@ func BenchmarkFlowChurnManyComponents(b *testing.B) {
 			f := NewFabric(eng)
 			f.SetEagerReference(mode.eager)
 			const pairs = 128
-			hosts := make([][2]string, pairs)
+			hosts := make([][2]Vertex, pairs)
 			for i := 0; i < pairs; i++ {
-				sw := fmt.Sprintf("sw%d", i)
-				a, c := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
-				f.AddVertex(sw)
-				f.AddVertex(a)
-				f.AddVertex(c)
+				sw := f.AddVertex(fmt.Sprintf("sw%d", i))
+				a, c := f.AddVertex(fmt.Sprintf("a%d", i)), f.AddVertex(fmt.Sprintf("b%d", i))
 				f.Connect(a, sw, units.Gbps(1), 0)
 				f.Connect(c, sw, units.Gbps(1), 0)
-				hosts[i] = [2]string{a, c}
+				hosts[i] = [2]Vertex{a, c}
 			}
 			// Keep every pair busy with an effectively infinite background flow.
 			for i := 0; i < pairs; i++ {

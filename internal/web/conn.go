@@ -1,6 +1,9 @@
 package web
 
-import "edisim/internal/sim"
+import (
+	"edisim/internal/netsim"
+	"edisim/internal/sim"
+)
 
 // webConn is one client connection, a pooled state machine like webReq:
 //
@@ -21,7 +24,7 @@ import "edisim/internal/sim"
 // is live only while armed and not superseded by a later arming.
 type webConn struct {
 	d      *Deployment
-	client string
+	client netsim.Vertex
 	srv    *WebServer // target of the live SYN or attempt
 	host   *WebServer // the server that accepted the connection; nil during the handshake
 	seq    uint64
@@ -46,7 +49,7 @@ type webConn struct {
 // SYN is still accepted and answered) and the connection's seq at send.
 type synTag struct {
 	c      *webConn
-	client string
+	client netsim.Vertex
 	w      *WebServer
 	seq    uint64
 
@@ -138,7 +141,7 @@ func (c *webConn) syn() {
 	c.seq++
 	t := take(&d.freeSyns, d)
 	t.c, t.client, t.w, t.seq = c, c.client, c.srv, c.seq
-	d.Fab.Send(c.client, c.srv.Node.ID, rpcHeaderBytes, t.arrivedFn)
+	d.Fab.Send(c.client, c.srv.vx, rpcHeaderBytes, t.arrivedFn)
 	if d.recovering() {
 		backoff := d.Params.RetryBackoff
 		c.arm(backoff[min(c.synRetry, len(backoff)-1)])
@@ -165,7 +168,7 @@ func (t *synTag) arrived() {
 		c.seq++
 		c.armed = false
 		c.d.noteShed()
-		c.d.Fab.Send(w.Node.ID, c.client, rpcHeaderBytes, c.rstFn)
+		c.d.Fab.Send(w.vx, c.client, rpcHeaderBytes, c.rstFn)
 		return
 	}
 	if !w.admitConn(t.acceptedFn) {
@@ -181,7 +184,7 @@ func (t *synTag) accepted() {
 		t.c.queued = 0
 	}
 	t.w.accept()
-	t.c.d.Fab.Send(t.w.Node.ID, t.client, rpcHeaderBytes, t.ackedFn)
+	t.c.d.Fab.Send(t.w.vx, t.client, rpcHeaderBytes, t.ackedFn)
 }
 
 // acked runs when the SYN-ACK reaches the client: the calls begin.

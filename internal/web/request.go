@@ -1,6 +1,7 @@
 package web
 
 import (
+	"edisim/internal/netsim"
 	"edisim/internal/sim"
 	"edisim/internal/units"
 )
@@ -25,7 +26,7 @@ type webReq struct {
 	w         *WebServer
 	cache     *CacheServer
 	db        *DBServer
-	client    string
+	client    netsim.Vertex
 	imageFrac float64
 	seq       uint64
 	done      func(seq uint64, ok bool)
@@ -103,14 +104,14 @@ func (d *Deployment) recycleReq(r *webReq) {
 // arrives; seq is handed back as given so the caller can tell a reply to an
 // abandoned attempt from the live one. The web-server-side interval and the
 // cache/DB sub-intervals feed the Table 7 decomposition.
-func (d *Deployment) request(client string, w *WebServer, imageFrac float64, seq uint64, done func(uint64, bool)) {
+func (d *Deployment) request(client netsim.Vertex, w *WebServer, imageFrac float64, seq uint64, done func(uint64, bool)) {
 	r := take(&d.freeReqs, d)
 	r.w = w
 	r.client = client
 	r.imageFrac = imageFrac
 	r.seq = seq
 	r.done = done
-	d.Fab.Send(client, w.Node.ID, requestBytes, r.arrivedFn)
+	d.Fab.Send(client, w.vx, requestBytes, r.arrivedFn)
 }
 
 // arrivedAtWeb runs when the request bytes reach the web server: admission
@@ -124,13 +125,13 @@ func (r *webReq) arrivedAtWeb() {
 		return
 	}
 	if !r.w.admitRequest(r.startFn) {
-		r.d.Fab.Send(r.w.Node.ID, r.client, 512, r.errFn)
+		r.d.Fab.Send(r.w.vx, r.client, 512, r.errFn)
 	}
 }
 
 // shedComputed pushes the 503 rejection page after its fast-fail CPU burn.
 func (r *webReq) shedComputed() {
-	r.d.Fab.Send(r.w.Node.ID, r.client, 512, r.errFn)
+	r.d.Fab.Send(r.w.vx, r.client, 512, r.errFn)
 }
 
 // start runs when a worker thread picks the request up: choose the table
@@ -157,7 +158,7 @@ func (r *webReq) prologueDone() {
 	d := r.d
 	r.cache = d.cacheFor(r.k)
 	r.cacheStart = d.Eng.Now()
-	d.Fab.Send(r.w.Node.ID, r.cache.Node.ID, rpcHeaderBytes, r.atCacheFn)
+	d.Fab.Send(r.w.vx, r.cache.vx, rpcHeaderBytes, r.atCacheFn)
 }
 
 // arrivedAtCache burns the server-side GET cost on the cache node.
@@ -171,10 +172,10 @@ func (r *webReq) cacheLooked() {
 	size, hit := r.cache.lookup(r.k)
 	if hit {
 		r.replySize = size
-		r.d.Fab.Send(r.cache.Node.ID, r.w.Node.ID, size, r.hitReturnFn)
+		r.d.Fab.Send(r.cache.vx, r.w.vx, size, r.hitReturnFn)
 		return
 	}
-	r.d.Fab.Send(r.cache.Node.ID, r.w.Node.ID, rpcHeaderBytes, r.missReturnFn)
+	r.d.Fab.Send(r.cache.vx, r.w.vx, rpcHeaderBytes, r.missReturnFn)
 }
 
 // hitReturned runs when the cached value reaches the web server. The
@@ -208,7 +209,7 @@ func (r *webReq) missReturned() {
 	}
 	r.db = d.DBs[d.rnd.db.Intn(len(d.DBs))]
 	r.dbStart = d.Eng.Now()
-	d.Fab.Send(r.w.Node.ID, r.db.Node.ID, requestBytes, r.atDBFn)
+	d.Fab.Send(r.w.vx, r.db.vx, requestBytes, r.atDBFn)
 }
 
 // arrivedAtDB..dbRead execute one MySQL lookup on the record: query CPU,
@@ -222,7 +223,7 @@ func (r *webReq) dbComputed() {
 }
 
 func (r *webReq) dbRead() {
-	r.d.Fab.Send(r.db.Node.ID, r.w.Node.ID, r.rowSize, r.dbReturnFn)
+	r.d.Fab.Send(r.db.vx, r.w.vx, r.rowSize, r.dbReturnFn)
 }
 
 func (r *webReq) dbReturned() {
@@ -247,7 +248,7 @@ func (r *webReq) assembled() {
 	d := r.d
 	d.webTotal.Add(float64(d.Eng.Now() - r.arrived))
 	r.w.inflight--
-	d.Fab.Send(r.w.Node.ID, r.client, r.replySize+256, r.okFn)
+	d.Fab.Send(r.w.vx, r.client, r.replySize+256, r.okFn)
 }
 
 // deliverOK/deliverErr run at the client on full arrival of the reply/500:

@@ -42,7 +42,7 @@ type Deployment struct {
 	Web     []*WebServer
 	Cache   []*CacheServer
 	DBs     []*DBServer
-	Clients []string
+	Clients []netsim.Vertex
 
 	webNodes, cacheNodes []*hw.Node // the Web and Cache servers' nodes, in order
 
@@ -116,7 +116,7 @@ func NewDeployment(tb *cluster.Testbed, p *hw.Platform, nWeb, nCache int, seed i
 // on cachePlat's. When the platforms coincide this is exactly NewDeployment:
 // both tiers split one node group, web servers first.
 func NewTieredDeployment(tb *cluster.Testbed, webPlat *hw.Platform, nWeb int, cachePlat *hw.Platform, nCache int, seed int64) *Deployment {
-	d := &Deployment{Eng: tb.Eng, Fab: tb.Fab, Params: DefaultParams(), Plat: webPlat, CachePlat: cachePlat, Clients: tb.Clients, loadFactor: 1}
+	d := &Deployment{Eng: tb.Eng, Fab: tb.Fab, Params: DefaultParams(), Plat: webPlat, CachePlat: cachePlat, loadFactor: 1}
 	if webPlat == cachePlat {
 		pool := tb.Nodes(webPlat)
 		if nWeb+nCache > len(pool) {
@@ -140,10 +140,13 @@ func NewTieredDeployment(tb *cluster.Testbed, webPlat *hw.Platform, nWeb int, ca
 		d.Web = append(d.Web, newWebServer(d, n))
 	}
 	for _, n := range d.cacheNodes {
-		d.Cache = append(d.Cache, newCacheServer(n))
+		d.Cache = append(d.Cache, newCacheServer(n, d.Fab.Vertex(n.ID)))
 	}
 	for _, n := range tb.DB {
-		d.DBs = append(d.DBs, &DBServer{Node: n, queryCPU: tb.Infra.Web.DBQueryCPU})
+		d.DBs = append(d.DBs, &DBServer{Node: n, vx: d.Fab.Vertex(n.ID), queryCPU: tb.Infra.Web.DBQueryCPU})
+	}
+	for _, name := range tb.Clients {
+		d.Clients = append(d.Clients, d.Fab.Vertex(name))
 	}
 	meterName := webPlat.Label + "-cluster"
 	if cachePlat != webPlat {

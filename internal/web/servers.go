@@ -2,6 +2,7 @@ package web
 
 import (
 	"edisim/internal/hw"
+	"edisim/internal/netsim"
 	"edisim/internal/sim"
 	"edisim/internal/units"
 )
@@ -10,6 +11,7 @@ import (
 type WebServer struct {
 	Node *hw.Node
 
+	vx  netsim.Vertex // Node's fabric vertex
 	dep *Deployment
 
 	// Connection admission (ports/threads for accept).
@@ -30,7 +32,7 @@ type WebServer struct {
 }
 
 func newWebServer(dep *Deployment, node *hw.Node) *WebServer {
-	return &WebServer{Node: node, dep: dep}
+	return &WebServer{Node: node, vx: dep.Fab.Vertex(node.ID), dep: dep}
 }
 
 // costs resolves the middle-tier platform's web calibration.
@@ -122,6 +124,7 @@ func (w *WebServer) admitRequest(start func()) bool {
 // CacheServer is one memcached node holding a real key→size store.
 type CacheServer struct {
 	Node *hw.Node
+	vx   netsim.Vertex // Node's fabric vertex
 
 	items map[rowKey]units.Bytes
 	used  units.Bytes
@@ -129,8 +132,8 @@ type CacheServer struct {
 	gets, hits int64
 }
 
-func newCacheServer(node *hw.Node) *CacheServer {
-	return &CacheServer{Node: node, items: make(map[rowKey]units.Bytes)}
+func newCacheServer(node *hw.Node, vx netsim.Vertex) *CacheServer {
+	return &CacheServer{Node: node, vx: vx, items: make(map[rowKey]units.Bytes)}
 }
 
 // Set stores a value size under key (warm-up path).
@@ -165,7 +168,8 @@ func (c *CacheServer) HitRatio() float64 {
 // Dell R620 in the paper's setup).
 type DBServer struct {
 	Node     *hw.Node
-	queryCPU float64 // per-query single-core seconds on this platform
+	vx       netsim.Vertex // Node's fabric vertex
+	queryCPU float64       // per-query single-core seconds on this platform
 }
 
 // rowKey identifies a row in the synthetic wikipedia+images dataset: a

@@ -9,7 +9,7 @@ package yarn
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"edisim/internal/hw"
 	"edisim/internal/sim"
@@ -82,8 +82,10 @@ type ResourceManager struct {
 	// paper configuration; see §5.2).
 	Master *hw.Node
 
-	nodes   []*NodeManager
-	pending []*pendingReq
+	nodes []*NodeManager
+	// pending is kept in service order — priority descending, FIFO within
+	// a priority — by Request, so heartbeats never sort it.
+	pending []pendingReq
 
 	// HeartbeatInterval is the NM→RM heartbeat period gating allocation
 	// (Hadoop default 1 s).
@@ -97,6 +99,7 @@ type ResourceManager struct {
 
 	granted int64
 	ticking bool
+	tickFn  func() // tick, bound once so arming a heartbeat does not allocate
 }
 
 type pendingReq struct {
@@ -132,6 +135,7 @@ func NewResourceManager(eng *sim.Engine, master *hw.Node, slaves []*hw.Node, res
 		GrantsPerHeartbeat: 24,
 		ContainerStartup:   DefaultContainerStartup,
 	}
+	rm.tickFn = rm.tick
 	for _, s := range slaves {
 		nm := &NodeManager{Node: s, capacity: res(s)}
 		rm.nodes = append(rm.nodes, nm)
@@ -173,9 +177,15 @@ func (rm *ResourceManager) Nodes() []*NodeManager { return rm.nodes }
 func (rm *ResourceManager) Granted() int64 { return rm.granted }
 
 // Request queues a container request; done runs (after the heartbeat
-// allocation delay and JVM startup) with the granted container.
+// allocation delay and JVM startup) with the granted container. The
+// request goes after the last pending request of equal or higher priority:
+// the order a stable sort by descending priority gives the arrival order.
 func (rm *ResourceManager) Request(req ContainerRequest, done func(*Container)) {
-	rm.pending = append(rm.pending, &pendingReq{req: req, done: done})
+	i := len(rm.pending)
+	for i > 0 && rm.pending[i-1].req.Priority < req.Priority {
+		i--
+	}
+	rm.pending = slices.Insert(rm.pending, i, pendingReq{req: req, done: done})
 	rm.ensureTicking()
 }
 
@@ -184,43 +194,65 @@ func (rm *ResourceManager) ensureTicking() {
 		return
 	}
 	rm.ticking = true
-	rm.eng.After(rm.HeartbeatInterval, rm.tick)
+	rm.eng.After(rm.HeartbeatInterval, rm.tickFn)
 }
 
 // tick is one heartbeat round: grant up to GrantsPerHeartbeat pending
 // requests onto nodes with room, preferring data-local nodes. Requests are
-// served by priority (stable within a class, preserving FIFO).
+// served in pending order (by priority, FIFO within a class); granted ones
+// are filtered out in place.
+//
+// A grant only shrinks free capacity, and nothing frees any within a tick,
+// so once a request's search of every node fails, no request at least as
+// large in both dimensions can fit anywhere this tick either. Such requests
+// skip place and count the round as waited, exactly as a failed place
+// would, so grants and delay scheduling are unchanged. On a full cluster a
+// heartbeat then costs one node scan per distinct request size instead of
+// one per pending request.
 func (rm *ResourceManager) tick() {
 	rm.ticking = false
 	grants := 0
-	sort.SliceStable(rm.pending, func(i, j int) bool {
-		return rm.pending[i].req.Priority > rm.pending[j].req.Priority
-	})
-	var still []*pendingReq
-	for _, p := range rm.pending {
-		if grants >= rm.GrantsPerHeartbeat {
-			still = append(still, p)
-			continue
-		}
-		nm := rm.place(p.req, p.waited >= delayRounds)
-		if nm == nil {
+	var noFit NodeResources // the smallest request whose search of every node failed
+	haveNoFit := false
+	kept := 0
+	for i := range rm.pending {
+		p := &rm.pending[i]
+		if grants < rm.GrantsPerHeartbeat {
+			var nm *NodeManager
+			if !haveNoFit || p.req.MemoryMB < noFit.MemoryMB || p.req.VCores < noFit.VCores {
+				anyNode := p.waited >= delayRounds
+				nm = rm.place(p.req, anyNode)
+				if nm == nil && (anyNode || len(p.req.PreferredNodes) == 0) &&
+					(!haveNoFit || p.req.MemoryMB <= noFit.MemoryMB && p.req.VCores <= noFit.VCores) {
+					noFit, haveNoFit = NodeResources{MemoryMB: p.req.MemoryMB, VCores: p.req.VCores}, true
+				}
+			}
+			if nm != nil {
+				rm.grant(nm, p.req, p.done)
+				grants++
+				continue
+			}
 			p.waited++
-			still = append(still, p)
-			continue
 		}
-		grants++
-		rm.granted++
-		nm.usedMem += p.req.MemoryMB
-		nm.usedVC += p.req.VCores
-		c := &Container{Node: nm, Req: p.req}
-		startup := rm.ContainerStartup(nm.Node)
-		p := p
-		rm.eng.After(startup, func() { p.done(c) })
+		if kept != i {
+			rm.pending[kept] = *p
+		}
+		kept++
 	}
-	rm.pending = still
+	clear(rm.pending[kept:]) // release the granted requests' callbacks
+	rm.pending = rm.pending[:kept]
 	if len(rm.pending) > 0 {
 		rm.ensureTicking()
 	}
+}
+
+// grant books req's container on nm; done runs once the container starts.
+func (rm *ResourceManager) grant(nm *NodeManager, req ContainerRequest, done func(*Container)) {
+	rm.granted++
+	nm.usedMem += req.MemoryMB
+	nm.usedVC += req.VCores
+	c := &Container{Node: nm, Req: req}
+	rm.eng.After(rm.ContainerStartup(nm.Node), func() { done(c) })
 }
 
 // place chooses a node for the request: preferred (data-local) first; any

@@ -1,6 +1,7 @@
 package yarn
 
 import (
+	"fmt"
 	"testing"
 
 	"edisim/internal/hw"
@@ -177,5 +178,63 @@ func TestNodeManagerAccounting(t *testing.T) {
 	rm.Release(c)
 	if nm.Available().MemoryMB != 600 || nm.Available().VCores != 2 {
 		t.Fatalf("available %+v after release", nm.Available())
+	}
+}
+
+// fullCluster returns an RM over 35 micro and 2 brawny slaves whose every
+// container slot is granted, with over 2000 more requests pending: micro-
+// and brawny-sized, half with preferred nodes.
+func fullCluster(tb testing.TB) (*sim.Engine, *ResourceManager) {
+	tb.Helper()
+	eng := sim.NewEngine()
+	master := hw.NewNode(eng, hw.DellR620Spec(), "master")
+	var nodes []*hw.Node
+	for i := 0; i < 35; i++ {
+		nodes = append(nodes, hw.NewNode(eng, hw.EdisonSpec(), fmt.Sprintf("e%d", i)))
+	}
+	nodes = append(nodes, hw.NewNode(eng, hw.DellR620Spec(), "d0"), hw.NewNode(eng, hw.DellR620Spec(), "d1"))
+	rm, err := NewResourceManager(eng, master, nodes, DefaultResources)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 2200; i++ {
+		req := ContainerRequest{MemoryMB: 150, VCores: 1}
+		if i%3 == 2 {
+			req = ContainerRequest{MemoryMB: 1024, VCores: 2}
+		}
+		if i%2 == 0 {
+			req.PreferredNodes = []*NodeManager{rm.Nodes()[i%len(nodes)]}
+		}
+		rm.Request(req, func(*Container) {})
+	}
+	eng.RunUntil(60) // fill every slot and age the backlog past delay scheduling
+	if len(rm.pending) < 2000 {
+		tb.Fatalf("%d requests pending on the full cluster, want at least 2000", len(rm.pending))
+	}
+	return eng, rm
+}
+
+// TestTickSteadyStateNoAlloc: a heartbeat over a 2000-request backlog on a
+// full cluster grants nothing and allocates nothing.
+func TestTickSteadyStateNoAlloc(t *testing.T) {
+	eng, rm := fullCluster(t)
+	granted, pending := rm.Granted(), len(rm.pending)
+	allocs := testing.AllocsPerRun(50, func() { eng.RunUntil(eng.Now() + Time(rm.HeartbeatInterval)) })
+	if allocs != 0 {
+		t.Errorf("a full-cluster heartbeat allocates %.1f objects, want 0", allocs)
+	}
+	if rm.Granted() != granted || len(rm.pending) != pending {
+		t.Fatalf("granted %d → %d, %d pending: the cluster must stay full", granted, rm.Granted(), len(rm.pending))
+	}
+}
+
+// BenchmarkTickFullCluster measures one heartbeat over a 2000-request
+// backlog on a full 35 micro + 2 brawny cluster.
+func BenchmarkTickFullCluster(b *testing.B) {
+	eng, rm := fullCluster(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.RunUntil(eng.Now() + Time(rm.HeartbeatInterval))
 	}
 }
