@@ -73,7 +73,7 @@ func TestConnectUnknownVertexPanics(t *testing.T) {
 			call()
 		}()
 	}
-	if f.AddVertex("a") != a || f.Name(a) != "a" {
+	if f.AddVertex("a") != a || f.Vertex("a") != a {
 		t.Fatalf("re-adding %q gave a new handle", "a")
 	}
 }

@@ -198,12 +198,6 @@ func (f *Fabric) Vertex(name string) Vertex {
 	return v
 }
 
-// Name reports the name v was registered under.
-func (f *Fabric) Name(v Vertex) string {
-	f.mustOwn(v)
-	return f.names[v]
-}
-
 // mustOwn panics unless v is a handle this fabric issued.
 func (f *Fabric) mustOwn(v Vertex) {
 	if v < 0 || int(v) >= len(f.names) {

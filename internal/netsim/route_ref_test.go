@@ -68,14 +68,14 @@ func checkRoutes(t *testing.T, name string, f *netsim.Fabric) {
 			want := pairRoute(f, src, dst)
 			got, ok := tableRoute(f, src, dst)
 			if src != dst && (want == nil) == ok {
-				t.Fatalf("%s: %s -> %s routed %v, reference routed %v", name, f.Name(src), f.Name(dst), ok, want != nil)
+				t.Fatalf("%s: %d -> %d routed %v, reference routed %v", name, src, dst, ok, want != nil)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("%s: %s -> %s is %d hops, reference %d", name, f.Name(src), f.Name(dst), len(got), len(want))
+				t.Fatalf("%s: %d -> %d is %d hops, reference %d", name, src, dst, len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("%s: %s -> %s hop %d is link %d->%d, reference %d->%d", name, f.Name(src), f.Name(dst),
+					t.Fatalf("%s: %d -> %d hop %d is link %d->%d, reference %d->%d", name, src, dst,
 						i, got[i].Src, got[i].Dst, want[i].Src, want[i].Dst)
 				}
 			}
