@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"edisim/internal/hw"
+	"edisim/internal/netsim"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -20,22 +21,32 @@ func TestTestbedSizes(t *testing.T) {
 	}
 }
 
+// route and rtt look up the testbed's route and RTT between two named
+// vertices.
+func route(tb *Testbed, a, b string) []*netsim.Link {
+	return tb.Fab.Route(tb.Fab.Vertex(a), tb.Fab.Vertex(b))
+}
+
+func rtt(tb *Testbed, a, b string) float64 {
+	return tb.Fab.RTT(tb.Fab.Vertex(a), tb.Fab.Vertex(b))
+}
+
 func TestMeasuredRTTsMatchSection44(t *testing.T) {
 	micro, brawny := pair()
 	tb := New(DefaultConfig())
 	mn, bn := tb.Nodes(micro), tb.Nodes(brawny)
 	// Micro <-> micro across boxes: paper measures ≈1.3 ms.
-	ee := tb.Fab.RTT(tb.Fab.Vertex(mn[0].ID), tb.Fab.Vertex(mn[34].ID))
+	ee := rtt(tb, mn[0].ID, mn[34].ID)
 	if ee < 1.0e-3 || ee > 1.5e-3 {
 		t.Errorf("micro-micro RTT %.2fms, want ≈1.3ms", ee*1e3)
 	}
 	// Brawny <-> brawny: ≈0.24 ms.
-	dd := tb.Fab.RTT(tb.Fab.Vertex(bn[0].ID), tb.Fab.Vertex(bn[1].ID))
+	dd := rtt(tb, bn[0].ID, bn[1].ID)
 	if dd < 0.20e-3 || dd > 0.30e-3 {
 		t.Errorf("brawny-brawny RTT %.2fms, want ≈0.24ms", dd*1e3)
 	}
 	// Brawny <-> micro: ≈0.8 ms.
-	de := tb.Fab.RTT(tb.Fab.Vertex(bn[0].ID), tb.Fab.Vertex(mn[0].ID))
+	de := rtt(tb, bn[0].ID, mn[0].ID)
 	if de < 0.6e-3 || de > 1.0e-3 {
 		t.Errorf("brawny-micro RTT %.2fms, want ≈0.8ms", de*1e3)
 	}
@@ -91,8 +102,8 @@ func TestMicroUplinkIsBottleneck(t *testing.T) {
 	// wiring by comparing hop counts.
 	micro, brawny := pair()
 	tb := New(DefaultConfig())
-	pEd := tb.Fab.Route(tb.Fab.Vertex("client0"), tb.Fab.Vertex(tb.Nodes(micro)[0].ID))
-	pDl := tb.Fab.Route(tb.Fab.Vertex("client0"), tb.Fab.Vertex(tb.Nodes(brawny)[0].ID))
+	pEd := route(tb, "client0", tb.Nodes(micro)[0].ID)
+	pDl := route(tb, "client0", tb.Nodes(brawny)[0].ID)
 	if len(pEd) <= len(pDl) {
 		t.Fatalf("micro path (%d hops) should be longer than brawny path (%d hops)",
 			len(pEd), len(pDl))
@@ -109,8 +120,8 @@ func TestScaledDownCluster(t *testing.T) {
 		t.Fatal("scaled config not honored")
 	}
 	// All nodes still mutually routable.
-	tb.Fab.Route(tb.Fab.Vertex(tb.Nodes(micro)[7].ID), tb.Fab.Vertex(tb.DB[1].ID))
-	tb.Fab.Route(tb.Fab.Vertex(tb.Nodes(micro)[0].ID), tb.Fab.Vertex(tb.Nodes(micro)[7].ID))
+	route(tb, tb.Nodes(micro)[7].ID, tb.DB[1].ID)
+	route(tb, tb.Nodes(micro)[0].ID, tb.Nodes(micro)[7].ID)
 }
 
 func TestNodesUseCorrectSpecs(t *testing.T) {
@@ -137,9 +148,9 @@ func TestAnyCatalogPlatformDeploys(t *testing.T) {
 			t.Fatalf("%s: %d nodes", p.Name, len(nodes))
 		}
 		// Mutually routable and reachable from infra.
-		tb.Fab.Route(tb.Fab.Vertex(nodes[0].ID), tb.Fab.Vertex(nodes[8].ID))
-		tb.Fab.Route(tb.Fab.Vertex("client0"), tb.Fab.Vertex(nodes[0].ID))
-		tb.Fab.Route(tb.Fab.Vertex(nodes[8].ID), tb.Fab.Vertex(tb.DB[0].ID))
+		route(tb, nodes[0].ID, nodes[8].ID)
+		route(tb, "client0", nodes[0].ID)
+		route(tb, nodes[8].ID, tb.DB[0].ID)
 		if g := tb.Group(p); g.Meter == nil {
 			t.Fatalf("%s: no meter", p.Name)
 		}
@@ -154,5 +165,5 @@ func TestInfraSwitchNotDuplicated(t *testing.T) {
 		Groups:  []GroupConfig{{Platform: brawny, Nodes: 3}},
 		DBNodes: 2, Clients: 2,
 	})
-	tb.Fab.Route(tb.Fab.Vertex(tb.Nodes(brawny)[0].ID), tb.Fab.Vertex(tb.DB[1].ID))
+	route(tb, tb.Nodes(brawny)[0].ID, tb.DB[1].ID)
 }

@@ -239,8 +239,8 @@ const routeBlock = 64
 // its access switch) has no search of its own: a BFS from it first reaches
 // l.Dst and then runs exactly as a BFS from l.Dst would — the source itself
 // leads nowhere new — so its path to any other vertex is l followed by
-// l.Dst's path. Such a row sets up and borrows l.Dst's row; every other row
-// holds its own BFS tree in via.
+// l.Dst's path. Such a row keeps l in up and borrows l.Dst's row; every
+// other row holds its own BFS tree in via.
 type routeRow struct {
 	up    *Link
 	via   []*Link     // via[v]: the tree link into v; nil for the source and unreachable vertices
