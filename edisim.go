@@ -217,7 +217,16 @@ func Run(ctx context.Context, s Scenario, sink Sink) error {
 	if err != nil {
 		return err
 	}
-	cfg.Interrupt = func() bool { return ctx.Err() != nil }
+	// An internal cancel stops the background workers from starting
+	// further units once Run returns early (unit error, sink error, caller
+	// cancellation), and aborts in-flight simulations at their next
+	// checkpoint, so nothing keeps running after the caller has its error.
+	// The checkpoints poll the caller's context itself as well, so a
+	// cancellation is seen at the first poll after it, not one propagation
+	// hop later.
+	inner, cancel := context.WithCancel(ctx)
+	defer cancel()
+	cfg.Interrupt = func() bool { return ctx.Err() != nil || inner.Err() != nil }
 	var units []unit
 	for _, w := range s.Workloads {
 		if w == nil {
@@ -253,12 +262,6 @@ func Run(ctx context.Context, s Scenario, sink Sink) error {
 	if cfg.Workers > 1 {
 		outer = 2
 	}
-	// An internal cancel stops the background workers from starting
-	// further units once Run returns early (unit error, sink error, caller
-	// cancellation) — an in-flight simulation still finishes, but nothing
-	// new launches after the caller has its error.
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	type result struct {
 		o   *core.Outcome
@@ -281,8 +284,8 @@ func Run(ctx context.Context, s Scenario, sink Sink) error {
 	}
 	go runner.Map(outer, len(units), func(i int) *result {
 		r := &result{}
-		if ctx.Err() != nil {
-			r.err = ctx.Err()
+		if err := inner.Err(); err != nil {
+			r.err = err
 		} else {
 			r.o, r.err = runUnit(i)
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -97,6 +99,37 @@ func TestExpiredDeadlineFaultHeavyRun(t *testing.T) {
 	}
 }
 
+// pollCancelCtx is a context that cancels itself at its k-th Err call. Run
+// polls the caller's context at every engine checkpoint (every few thousand
+// events), so the cancellation lands at a fixed point inside the
+// simulation instead of at a wall-clock instant that races the host. Done
+// closes at that same call, as the context contract requires.
+type pollCancelCtx struct {
+	context.Context
+	k     int64
+	polls atomic.Int64
+	once  sync.Once
+	done  chan struct{}
+}
+
+// cancelAtPoll is where TestCancellationAbortsFaultHeavyRun cancels: about
+// a third of the 120 context polls the uncancelled run makes.
+const cancelAtPoll = 40
+
+func newPollCancelCtx(k int64) *pollCancelCtx {
+	return &pollCancelCtx{Context: context.Background(), k: k, done: make(chan struct{})}
+}
+
+func (c *pollCancelCtx) Done() <-chan struct{} { return c.done }
+
+func (c *pollCancelCtx) Err() error {
+	if c.polls.Add(1) < c.k {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.Canceled
+}
+
 // TestCancellationAbortsFaultHeavyRun cancels mid-run: the engine-step
 // checkpoints must abort the in-flight fault simulation long before it
 // would finish on its own.
@@ -104,11 +137,9 @@ func TestCancellationAbortsFaultHeavyRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates part of a fault-heavy run")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx := newPollCancelCtx(cancelAtPoll)
 	done := make(chan error, 1)
 	go func() { done <- Run(ctx, faultyScenario(2), NewTextSink(&bytes.Buffer{})) }()
-	time.Sleep(100 * time.Millisecond)
-	cancel()
 	select {
 	case err := <-done:
 		if err != context.Canceled {

@@ -169,8 +169,7 @@ func (f *Fabric) replan(l *Link) {
 		e := &waiting[i]
 		e.dep = prev + sim.Time(float64(e.size)/l.effCap())
 		prev = e.dep
-		e.m.arrival.Cancel()
-		e.m.arrival = f.eng.At(e.dep+sim.Time(l.Delay), e.m.arrivedFn)
+		e.m.arrival = f.eng.Rearm(e.m.arrival, e.dep+sim.Time(l.Delay), e.m.arrivedFn)
 	}
 }
 

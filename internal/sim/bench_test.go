@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkSchedule measures the schedule→fire round trip: one event is
 // always pending, so every iteration exercises a heap push and pop.
@@ -78,4 +81,30 @@ func BenchmarkProcShareCancel(b *testing.B) {
 		p.Submit(1, nil).Cancel()
 	}
 	e.Run()
+}
+
+// BenchmarkChainedEvents measures the common event shape of the models:
+// about 100 events pending, and each callback schedules one successor a
+// short random delay ahead (a message hop scheduling the next hop).
+func BenchmarkChainedEvents(b *testing.B) {
+	e := NewEngine()
+	rng := rand.New(rand.NewSource(1))
+	var delays [1024]float64
+	for i := range delays {
+		delays[i] = rng.ExpFloat64() * 1e-3
+	}
+	k := 0
+	var hop func()
+	hop = func() {
+		k++
+		e.After(delays[k%len(delays)], hop)
+	}
+	for i := 0; i < 100; i++ {
+		e.After(delays[i], hop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
 }

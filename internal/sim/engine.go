@@ -16,6 +16,17 @@
 // values stamped with the event's sequence number, so a stale handle —
 // kept after its event fired or was cancelled — is detected and ignored
 // rather than corrupting a recycled event.
+//
+// Two choices keep the sift work per event small. Firing an event leaves
+// the root of the heap vacant instead of moving the last event there: nearly
+// every callback schedules a successor, and the first At it makes takes the
+// vacant root and sifts down the few levels it needs, rather than paying a
+// full-depth sift-down for the pop plus a sift-up for the push. If the
+// callback schedules nothing, the root is filled the classic way before the
+// next event is read. And a timer that moves — a CPU's next completion, a
+// queued message re-timed behind a slower link — is re-armed in place with
+// Rearm, which orders exactly like Cancel followed by At but sifts the
+// record once instead of removing and re-inserting it.
 package sim
 
 import (
@@ -74,7 +85,8 @@ const eventChunk = 256
 type Engine struct {
 	now     Time
 	seq     uint64
-	heap    []*Event // 4-ary min-heap on (at, seq)
+	heap    []*Event // 4-ary min-heap on (at, seq); heap[0] is vacant while hole
+	hole    bool     // the root was popped and not yet refilled
 	free    []*Event // recycled event records
 	stopped bool
 	fired   uint64
@@ -114,7 +126,12 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int {
+	if e.hole {
+		return len(e.heap) - 1
+	}
+	return len(e.heap)
+}
 
 // alloc takes an event record from the freelist, growing it when empty.
 func (e *Engine) alloc() *Event {
@@ -145,11 +162,14 @@ func less(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// siftUp restores heap order moving the event at position i toward the root.
-func (e *Engine) siftUp(i int) {
+// siftUp restores heap order moving the event at position i toward the
+// root, stopping at position top. While the root is vacant, callers pass
+// the last of the root's children (see rootTop): the vacant slot orders
+// before everything, and whichever event next takes it sifts down.
+func (e *Engine) siftUp(i, top int) {
 	h := e.heap
 	ev := h[i]
-	for i > 0 {
+	for i > top {
 		p := (i - 1) / 4
 		if !less(ev, h[p]) {
 			break
@@ -162,28 +182,37 @@ func (e *Engine) siftUp(i int) {
 	ev.pos = i
 }
 
+// rootTop is the position siftUp stops at: the root, or its children
+// while the root is vacant.
+func (e *Engine) rootTop() int {
+	if e.hole {
+		return 4
+	}
+	return 0
+}
+
 // siftDown restores heap order moving the event at position i toward the
-// leaves.
+// leaves. The moving event's key and the best child's key are kept in
+// locals so each comparison reads one child record.
 func (e *Engine) siftDown(i int) {
 	h := e.heap
 	n := len(h)
 	ev := h[i]
+	at, seq := ev.at, ev.seq
 	for {
 		first := i*4 + 1
 		if first >= n {
 			break
 		}
 		m := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
+		mat, mseq := h[first].at, h[first].seq
+		last := min(first+4, n)
 		for c := first + 1; c < last; c++ {
-			if less(h[c], h[m]) {
-				m = c
+			if x := h[c]; x.at < mat || (x.at == mat && x.seq < mseq) {
+				m, mat, mseq = c, x.at, x.seq
 			}
 		}
-		if !less(h[m], ev) {
+		if mat > at || (mat == at && mseq > seq) {
 			break
 		}
 		h[i] = h[m]
@@ -194,7 +223,22 @@ func (e *Engine) siftDown(i int) {
 	ev.pos = i
 }
 
-// remove deletes a scheduled event from the heap and recycles it.
+// fill moves the last event into the vacant root and sifts it down: the
+// classic pop, deferred until something needs the earliest event.
+func (e *Engine) fill() {
+	e.hole = false
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap[n] = nil
+	e.heap = e.heap[:n]
+	if n > 0 {
+		e.heap[0] = last
+		e.siftDown(0)
+	}
+}
+
+// remove deletes a scheduled event from the heap and recycles it. A vacant
+// root stays vacant: the event is never at position 0 then.
 func (e *Engine) remove(ev *Event) {
 	i := ev.pos
 	n := len(e.heap) - 1
@@ -206,28 +250,70 @@ func (e *Engine) remove(ev *Event) {
 	e.heap = e.heap[:n]
 	if i < n {
 		e.siftDown(i)
-		e.siftUp(i)
+		e.siftUp(i, e.rootTop())
 	}
 	e.recycle(ev)
+}
+
+// checkTime panics on a time no event may be scheduled at: scheduling into
+// the past or at a non-finite time is always a bug. The check is small
+// enough to inline into At; badTime builds the message.
+func (e *Engine) checkTime(t Time) {
+	if !(t >= e.now && t <= math.MaxFloat64) { // NaN fails both
+		e.badTime(t)
+	}
+}
+
+func (e *Engine) badTime(t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling into the past: %g < %g", t, e.now))
+	}
+	panic(fmt.Sprintf("sim: scheduling at non-finite time %v", t))
 }
 
 // At schedules fn to run at absolute time t (>= Now) and returns a handle
 // that can cancel it. Scheduling in the past panics: it is always a bug.
 func (e *Engine) At(t Time, fn func()) EventRef {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling into the past: %g < %g", t, e.now))
-	}
-	if math.IsNaN(float64(t)) || math.IsInf(float64(t), 0) {
-		panic(fmt.Sprintf("sim: scheduling at non-finite time %v", t))
-	}
+	e.checkTime(t)
 	e.seq++
 	ev := e.alloc()
 	ev.at = t
 	ev.seq = e.seq
 	ev.fn = fn
-	ev.pos = len(e.heap)
-	e.heap = append(e.heap, ev)
-	e.siftUp(ev.pos)
+	if e.hole {
+		e.hole = false
+		e.heap[0] = ev
+		e.siftDown(0)
+	} else {
+		ev.pos = len(e.heap)
+		e.heap = append(e.heap, ev)
+		e.siftUp(ev.pos, 0)
+	}
+	return EventRef{ev: ev, seq: ev.seq}
+}
+
+// Rearm moves the event r names to time t with callback fn and returns its
+// new handle; r itself goes inactive. It orders exactly like r.Cancel()
+// followed by At(t, fn) — the event takes the next sequence number, so it
+// fires after every event already scheduled at t — but re-sifts the record
+// in place instead of removing and re-inserting it. A dead or zero r
+// schedules a new event, as At would.
+func (e *Engine) Rearm(r EventRef, t Time, fn func()) EventRef {
+	if !r.live() {
+		return e.At(t, fn)
+	}
+	e.checkTime(t)
+	e.seq++
+	ev := r.ev
+	earlier := t < ev.at
+	ev.at = t
+	ev.seq = e.seq
+	ev.fn = fn
+	if earlier {
+		e.siftUp(ev.pos, e.rootTop())
+	} else {
+		e.siftDown(ev.pos)
+	}
 	return EventRef{ev: ev, seq: ev.seq}
 }
 
@@ -247,14 +333,27 @@ func (e *Engine) Run() {
 	e.RunUntil(Time(math.Inf(1)))
 }
 
-// popHead removes the earliest event, advances the clock to it and returns
-// its callback. The record is recycled before the callback runs, so the
-// callback is free to schedule (and reuse) events.
+// head fills a vacant root and reports whether any event is pending; when
+// it returns true, heap[0] is the earliest event.
+func (e *Engine) head() bool {
+	if e.hole {
+		e.fill()
+	}
+	return len(e.heap) > 0
+}
+
+// popHead removes the earliest event (head must have returned true),
+// advances the clock to it and returns its callback. The root is left
+// vacant for the first event the callback schedules. The record is
+// recycled before the callback runs, so the callback is free to schedule
+// (and reuse) events.
 func (e *Engine) popHead() func() {
 	ev := e.heap[0]
+	e.heap[0] = nil
+	e.hole = true
 	e.now = ev.at
 	fn := ev.fn
-	e.remove(ev)
+	e.recycle(ev)
 	e.fired++
 	return fn
 }
@@ -266,7 +365,7 @@ func (e *Engine) popHead() func() {
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	e.interrupted = false
-	for len(e.heap) > 0 && !e.stopped {
+	for !e.stopped && e.head() {
 		if e.heap[0].at > deadline {
 			break
 		}
@@ -283,7 +382,7 @@ func (e *Engine) RunUntil(deadline Time) {
 
 // Step executes exactly one event, reporting false when none remain.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+	if !e.head() {
 		return false
 	}
 	e.popHead()()

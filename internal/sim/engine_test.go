@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -149,17 +151,29 @@ func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
 	}
 }
 
+// TestEnginePastSchedulingPanics: scheduling or re-arming into the past or
+// at a non-finite time panics.
 func TestEnginePastSchedulingPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(5, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling into the past did not panic")
+	for _, bad := range []Time{1, Time(math.NaN()), Time(math.Inf(1)), Time(math.Inf(-1))} {
+		e := NewEngine()
+		live := e.At(9, func() {})
+		e.At(5, func() {
+			for _, schedule := range []func(){
+				func() { e.At(bad, func() {}) },
+				func() { e.Rearm(live, bad, func() {}) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("scheduling at %v (now %v) did not panic", bad, e.Now())
+						}
+					}()
+					schedule()
+				}()
 			}
-		}()
-		e.At(1, func() {})
-	})
-	e.Run()
+		})
+		e.Run()
+	}
 }
 
 func TestEngineStop(t *testing.T) {
@@ -220,5 +234,89 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRearmDeadRefActsAsAt: re-arming a zero, fired or cancelled ref
+// schedules a fresh event, exactly as At would.
+func TestRearmDeadRefActsAsAt(t *testing.T) {
+	e := NewEngine()
+	fired := e.At(1, func() {})
+	e.Run()
+	cancelled := e.At(2, func() {})
+	cancelled.Cancel()
+	var got []int
+	for i, r := range []EventRef{{}, fired, cancelled} {
+		i := i
+		nr := e.Rearm(r, 3, func() { got = append(got, i) })
+		if !nr.Active() || nr.Time() != 3 {
+			t.Fatalf("ref %d: Rearm gave active=%v time=%v, want an event at 3", i, nr.Active(), nr.Time())
+		}
+	}
+	if e.Pending() != 3 {
+		t.Fatalf("Pending() = %d, want 3", e.Pending())
+	}
+	e.Run()
+	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Fatalf("fired %v, want [0 1 2]", got)
+	}
+}
+
+// TestRearmInvalidatesOldRef: after Rearm only the returned ref names the
+// event; the old one is inactive and cancelling it is a no-op.
+func TestRearmInvalidatesOldRef(t *testing.T) {
+	e := NewEngine()
+	var fired []string
+	old := e.At(5, func() { fired = append(fired, "old") })
+	nr := e.Rearm(old, 2, func() { fired = append(fired, "new") })
+	if old.Active() || old.Time() != 0 {
+		t.Fatalf("old ref active=%v time=%v after Rearm", old.Active(), old.Time())
+	}
+	if !nr.Active() || nr.Time() != 2 || e.Pending() != 1 {
+		t.Fatalf("new ref active=%v time=%v, pending %d", nr.Active(), nr.Time(), e.Pending())
+	}
+	old.Cancel()
+	e.Run()
+	if len(fired) != 1 || fired[0] != "new" || e.Now() != 2 {
+		t.Fatalf("fired %v at %v, want [new] at 2", fired, e.Now())
+	}
+}
+
+// TestRearmTieFiresAfterExisting: an event re-armed to an instant that
+// already holds events fires after them, as Cancel followed by At would,
+// whether it moves earlier or later.
+func TestRearmTieFiresAfterExisting(t *testing.T) {
+	for _, from := range []Time{1, 9} {
+		e := NewEngine()
+		var got []string
+		r := e.At(from, func() { got = append(got, "moved") })
+		e.At(5, func() { got = append(got, "a") })
+		e.At(5, func() { got = append(got, "b") })
+		e.Rearm(r, 5, func() { got = append(got, "moved") })
+		e.At(5, func() { got = append(got, "c") })
+		e.Run()
+		if want := "[a b moved c]"; fmt.Sprint(got) != want {
+			t.Fatalf("re-armed from %v: order %v, want %s", from, got, want)
+		}
+	}
+}
+
+// TestRearmSteadyStateNoAlloc: re-arming a live event in place, and the
+// fire-then-reschedule cycle through the vacant root, must not allocate.
+func TestRearmSteadyStateNoAlloc(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		e.After(float64(i)+1, fn)
+	}
+	r := e.After(1, fn)
+	allocs := testing.AllocsPerRun(1000, func() {
+		r = e.Rearm(r, e.Now()+50, fn)  // later: sifts down
+		r = e.Rearm(r, e.Now()+0.5, fn) // earlier: sifts up
+		e.After(100, fn)
+		e.Step()
+	})
+	if allocs > 0 {
+		t.Fatalf("Rearm/fire cycle allocates %.1f objects per run, want 0", allocs)
 	}
 }

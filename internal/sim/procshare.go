@@ -287,9 +287,9 @@ func (p *ProcShare) veps() float64 {
 
 // reschedule re-arms the next-completion event for the current head task.
 func (p *ProcShare) reschedule() {
-	p.nextDone.Cancel()
-	p.nextDone = EventRef{}
 	if len(p.tasks) == 0 {
+		p.nextDone.Cancel()
+		p.nextDone = EventRef{}
 		return
 	}
 	head := p.tasks[0]
@@ -299,7 +299,7 @@ func (p *ProcShare) reschedule() {
 	}
 	r := p.rate()
 	dt := remaining / r
-	p.nextDone = p.eng.After(dt, p.completeFn)
+	p.nextDone = p.eng.Rearm(p.nextDone, p.eng.Now()+Time(dt), p.completeFn)
 }
 
 // complete pops every task whose virtual finish time has been reached.
