@@ -134,8 +134,7 @@ func (c *Cluster) Start(job *JobDef, done func()) (*JobResult, error) {
 	start := eng.Now()
 	c.meter.Reset()
 
-	// 1 Hz psutil-style sampling (Figures 12–17).
-	sampler := power.NewSampler(eng, c.meter, 1.0)
+	// Gauges for the 1 Hz psutil-style sampling in tick (Figures 12–17).
 	cpuGauge := power.MeanUtilization(c.Workers)
 	memGauge := power.MeanMemUtilization(c.Workers)
 
@@ -190,7 +189,6 @@ func (c *Cluster) Start(job *JobDef, done func()) (*JobResult, error) {
 		res.Duration = float64(eng.Now() - start)
 		res.Energy = c.meter.Energy()
 		sample()
-		sampler.Stop()
 		if done != nil {
 			done()
 		}
