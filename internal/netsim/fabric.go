@@ -49,7 +49,7 @@ type Link struct {
 	// lag behind live flow progress until Fabric.FlushProgress credits it
 	flows []linkSlot // active max-min flows crossing this link
 	dirty bool       // on the fabric's dirty list for the next reallocate
-	mark  uint64     // epoch stamp for the dirty-component sweep
+	mark  uint64     // epoch stamp: dirty-component sweep, water-filling round
 	// Water-filling working state, validity-stamped by wfPass so passes
 	// need no per-pass map or clearing (see waterFill).
 	wfPass uint64
@@ -108,14 +108,16 @@ type Fabric struct {
 	routes   []*routeRow
 	bfsQueue []Vertex
 
-	// flows is the live max-min flow set. Maintained by swap-removal (each
-	// flow carries its index), so iteration order is NOT admission order;
-	// every pass that cares — water-filling arithmetic, completion
-	// callbacks — orders on Flow.seq instead (affectedFlows sorts, the
-	// completion heap ties on seq), keeping reruns bit-identical.
-	flows    []*Flow
-	epoch    uint64
-	nextDone sim.EventRef
+	// head and tail are the ends of the live max-min flow set, an intrusive
+	// list (Flow.prev/next) kept in seq order, so walking it is walking in
+	// admission order; live counts it. Every pass that cares about order —
+	// water-filling arithmetic, completion callbacks — orders on Flow.seq
+	// (affectedFlows walks this list or sorts, the completion heap ties on
+	// seq), keeping reruns bit-identical.
+	head, tail *Flow
+	live       int
+	epoch      uint64
+	nextDone   sim.EventRef
 
 	// doneHeap is the indexed 4-ary min-heap of projected completion times
 	// (see doneheap.go); one engine event is armed at its minimum.
@@ -129,12 +131,14 @@ type Fabric struct {
 	freeMsgs  []*message
 
 	// Reusable scratch so steady-state flow churn does not allocate: the
-	// links touched by the current water-filling pass, the pending done
-	// callbacks of one completion round, the affected-flow list of the
-	// dirty-component sweep, the abort set of a link-cut storm, and the
-	// bound completeFlows closure (allocated once instead of per re-arm).
+	// links and the unfrozen flows of the current water-filling pass, the
+	// pending done callbacks of one completion round, the affected-flow
+	// list of the dirty-component sweep, the abort set of a link-cut storm,
+	// and the bound completeFlows closure (allocated once instead of per
+	// re-arm).
 	wfPass     uint64
 	wfLinks    []*Link
+	wfFlows    []*Flow
 	doneQueue  []func()
 	affScratch []*Flow
 	abortFlows []*Flow
@@ -164,7 +168,7 @@ func NewFabric(eng *sim.Engine) *Fabric {
 // It exists as the equivalence baseline and debugging fallback, and must be
 // selected before any flow starts.
 func (f *Fabric) SetEagerReference(on bool) {
-	if len(f.flows) > 0 || len(f.doneHeap) > 0 {
+	if f.head != nil || len(f.doneHeap) > 0 {
 		panic("netsim: SetEagerReference with live flows")
 	}
 	f.eager = on
@@ -427,27 +431,16 @@ func (f *Fabric) SetVertexLinks(v Vertex, scale float64) {
 // the lazy-crediting invariant.
 func (f *Fabric) abortCrossing() {
 	if f.eager {
-		live := f.flows[:0]
-		for _, fl := range f.flows {
-			crossed := false
+		for fl, next := f.head, (*Flow)(nil); fl != nil; fl = next {
+			next = fl.next
 			for _, l := range fl.path {
 				if l.dirty && l.Down() {
-					crossed = true
+					f.unlink(fl)
+					f.recycleFlow(fl)
 					break
 				}
 			}
-			if !crossed {
-				fl.idx = int32(len(live))
-				live = append(live, fl)
-				continue
-			}
-			f.unlink(fl)
-			f.recycleFlow(fl)
 		}
-		for i := len(live); i < len(f.flows); i++ {
-			f.flows[i] = nil
-		}
-		f.flows = live
 		return
 	}
 	// The just-cut links sit on the dirty list; collect their crossing
@@ -468,7 +461,6 @@ func (f *Fabric) abortCrossing() {
 	for _, fl := range victims {
 		f.credit(fl)
 		f.unlink(fl)
-		f.removeFlow(fl)
 		f.heapRemove(fl)
 		f.recycleFlow(fl)
 	}

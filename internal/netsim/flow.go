@@ -31,13 +31,15 @@ type Flow struct {
 	rate      float64 // bytes/sec, current allocation (frozen between passes)
 	lastT     sim.Time
 	done      func()
-	frozen    bool // scratch flag for the water-filling pass
 
-	idx     int32    // position in Fabric.flows
-	heapPos int32    // position in the completion heap, -1 when absent
-	doneAt  sim.Time // projected completion (heap key), valid while heapPos >= 0
-	mark    uint64   // epoch stamp for the dirty-component sweep
-	linkPos []int32  // position in each path link's flow list, parallel to path
+	// prev and next link the live flows in seq order (Fabric.head/tail).
+	prev, next *Flow
+	heapPos    int32    // position in the completion heap, -1 when absent
+	doneAt     sim.Time // projected completion (heap key), valid while heapPos >= 0
+	// mark is an epoch stamp (Fabric.epoch): membership in the current
+	// dirty-component sweep, abort set or water-filling round.
+	mark    uint64
+	linkPos []int32 // position in each path link's flow list, parallel to path
 
 	// Pre-bound continuations, created once per record (amortized to zero
 	// by the pool) so StartFlow never allocates a closure: admission into
@@ -153,8 +155,7 @@ func (fl *Flow) admit() {
 	// at its post-admission rate (the pre-lazy code had exactly that
 	// double-count; the golden refresh covers the fix).
 	fl.lastT = f.eng.Now()
-	fl.idx = int32(len(f.flows))
-	f.flows = append(f.flows, fl)
+	f.insertLive(fl)
 	fl.linkPos = fl.linkPos[:0]
 	for i, l := range fl.path {
 		fl.linkPos = append(fl.linkPos, int32(len(l.flows)))
@@ -162,6 +163,31 @@ func (fl *Flow) admit() {
 		f.markDirty(l)
 	}
 	f.reallocate()
+}
+
+// insertLive adds the flow to the live list in seq order. Flows admit
+// after their path latency, so a flow started before the current tail may
+// admit after it: step back from the tail past every later-started flow,
+// which is a few places at most.
+func (f *Fabric) insertLive(fl *Flow) {
+	at := f.tail
+	for at != nil && at.seq > fl.seq {
+		at = at.prev
+	}
+	fl.prev = at
+	if at == nil {
+		fl.next = f.head
+		f.head = fl
+	} else {
+		fl.next = at.next
+		at.next = fl
+	}
+	if fl.next == nil {
+		f.tail = fl
+	} else {
+		fl.next.prev = fl
+	}
+	f.live++
 }
 
 // credit brings one flow's lazy progress accounting up to now: remaining,
@@ -188,7 +214,7 @@ func (f *Fabric) credit(fl *Flow) {
 // an O(flows) pass used by the eager reference mode on every event, and by
 // FlushProgress on demand. The lazy default never calls it per event.
 func (f *Fabric) advanceFlows() {
-	for _, fl := range f.flows {
+	for fl := f.head; fl != nil; fl = fl.next {
 		f.credit(fl)
 	}
 }
@@ -198,10 +224,22 @@ func (f *Fabric) advanceFlows() {
 // should call it (TotalBytes does so itself); the hot path never needs it.
 func (f *Fabric) FlushProgress() { f.advanceFlows() }
 
-// unlink removes the flow from its path links' flow lists (swap-remove via
-// the linkPos back-pointers, O(path)) and marks the links dirty for the next
-// reallocation pass.
+// unlink removes the flow from the live list (O(1)) and from its path
+// links' flow lists (swap-remove via the linkPos back-pointers, O(path)),
+// and marks the links dirty for the next reallocation pass.
 func (f *Fabric) unlink(fl *Flow) {
+	if fl.prev == nil {
+		f.head = fl.next
+	} else {
+		fl.prev.next = fl.next
+	}
+	if fl.next == nil {
+		f.tail = fl.prev
+	} else {
+		fl.next.prev = fl.prev
+	}
+	fl.prev, fl.next = nil, nil
+	f.live--
 	for i, l := range fl.path {
 		pos := fl.linkPos[i]
 		last := len(l.flows) - 1
@@ -214,20 +252,6 @@ func (f *Fabric) unlink(fl *Flow) {
 		l.flows = l.flows[:last]
 		f.markDirty(l)
 	}
-}
-
-// removeFlow drops the flow from the live set by swap-remove (lazy mode:
-// admission order is restored where it matters by sorting affected
-// components on seq; see affectedFlows).
-func (f *Fabric) removeFlow(fl *Flow) {
-	i := fl.idx
-	last := len(f.flows) - 1
-	if int(i) != last {
-		f.flows[i] = f.flows[last]
-		f.flows[i].idx = i
-	}
-	f.flows[last] = nil
-	f.flows = f.flows[:last]
 }
 
 // completeFlows is the single pending-completion event: it finishes every
@@ -258,7 +282,6 @@ func (f *Fabric) completeFlows() {
 			fl.remaining = 0
 		}
 		f.unlink(fl)
-		f.removeFlow(fl)
 		if fl.done != nil {
 			finished = append(finished, fl.done)
 		}
@@ -275,30 +298,23 @@ func (f *Fabric) completeFlows() {
 }
 
 // completeFlowsEager is the reference-mode completion sweep: advance every
-// flow eagerly and finish the drained ones in admission order, compacting
-// the live set in place (the pre-lazy-accounting behavior).
+// flow eagerly and finish the drained ones in admission order (the
+// pre-lazy-accounting behavior).
 func (f *Fabric) completeFlowsEager() {
 	f.nextDone = sim.EventRef{}
 	f.advanceFlows()
 	const eps = 1 // byte tolerance
 	finished := f.doneQueue[:0]
-	live := f.flows[:0]
-	for _, fl := range f.flows {
+	for fl, next := f.head, (*Flow)(nil); fl != nil; fl = next {
+		next = fl.next
 		if fl.remaining <= eps {
 			f.unlink(fl)
 			if fl.done != nil {
 				finished = append(finished, fl.done)
 			}
 			f.recycleFlow(fl)
-		} else {
-			fl.idx = int32(len(live))
-			live = append(live, fl)
 		}
 	}
-	for i := len(live); i < len(f.flows); i++ {
-		f.flows[i] = nil
-	}
-	f.flows = live
 	f.reallocate()
 	for _, done := range finished {
 		done()
@@ -326,4 +342,4 @@ func (f *Fabric) rekey(fl *Flow, now sim.Time) {
 }
 
 // ActiveFlows reports the number of in-flight bulk transfers.
-func (f *Fabric) ActiveFlows() int { return len(f.flows) }
+func (f *Fabric) ActiveFlows() int { return f.live }

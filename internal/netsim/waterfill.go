@@ -24,11 +24,16 @@ import (
 // Component discovery is a breadth-first sweep over the per-link flow lists
 // (Link.flows, maintained by admit/unlink with O(1) swap-removal), starting
 // from the dirty links: it touches only the flows and links of the
-// perturbed components, never the full live set. Combined with the
-// completion heap (doneheap.go) this makes the whole per-event flow path —
-// crediting, component discovery, water-filling, rescheduling — independent
-// of the total number of live flows: an arrival or departure costs
-// O(component + log flows), where the log is the heap re-key.
+// perturbed components. The pass needs them in admission (seq) order; the
+// live flows are kept in a seq-ordered list for that, so a component
+// covering a large share of the live set — nearly all of it in a Hadoop
+// shuffle — is put in order by one walk of the list instead of a sort.
+// Water-filling then examines, each round, only the flows on the round's
+// bottleneck links. Combined with the completion heap (doneheap.go) this
+// makes the whole per-event flow path — crediting, component discovery,
+// water-filling, rescheduling — proportional to the perturbed components:
+// an arrival or departure costs O(component × log) at most, where the logs
+// are the small-component sort and the heap re-key.
 //
 // THE LAZY-CREDITING INVARIANT. For every live flow, `remaining` and the
 // per-link byte counters are exact as of `lastT`, and the flow has been
@@ -69,12 +74,19 @@ func (f *Fabric) clearDirty() {
 	f.dirtyLinks = f.dirtyLinks[:0]
 }
 
+// listWalkRatio is the largest live-set-to-component size ratio at which
+// affectedFlows puts a component in order by walking the live list rather
+// than sorting it: a component covering a quarter of the live set or more.
+const listWalkRatio = 4
+
 // affectedFlows computes the set of flows whose rate may have changed since
 // the last pass: the union of the flow/link connected components containing
 // a dirty link, found by BFS over the per-link flow lists. It consumes
 // (clears) the dirty-link list and returns the affected flows in admission
-// order, in reusable scratch storage. Cost is proportional to the size of
-// the perturbed components, not the live flow set.
+// order, in reusable scratch storage. A component covering at least a
+// quarter of the live set is put in order by walking the live list and
+// keeping its marked flows, O(live) and so at most four times the
+// component; a smaller one is sorted on seq, O(component log component).
 func (f *Fabric) affectedFlows() []*Flow {
 	f.epoch++
 	epoch := f.epoch
@@ -108,12 +120,21 @@ func (f *Fabric) affectedFlows() []*Flow {
 	}
 	// Water-filling iterates (and subtracts shares) in admission order so
 	// the arithmetic is independent of traversal order.
-	slices.SortFunc(aff, func(a, b *Flow) int {
-		if a.seq < b.seq {
-			return -1
+	if f.live <= listWalkRatio*len(aff) {
+		aff = aff[:0]
+		for fl := f.head; fl != nil; fl = fl.next {
+			if fl.mark == epoch {
+				aff = append(aff, fl)
+			}
 		}
-		return 1
-	})
+	} else {
+		slices.SortFunc(aff, func(a, b *Flow) int {
+			if a.seq < b.seq {
+				return -1
+			}
+			return 1
+		})
+	}
 	f.affScratch = aff
 	return aff
 }
@@ -150,12 +171,17 @@ func (f *Fabric) reallocateEager() {
 	f.clearDirty()
 	f.nextDone.Cancel()
 	f.nextDone = sim.EventRef{}
-	if len(f.flows) == 0 {
+	if f.head == nil {
 		return
 	}
-	f.waterFill(f.flows)
+	all := f.affScratch[:0]
+	for fl := f.head; fl != nil; fl = fl.next {
+		all = append(all, fl)
+	}
+	f.affScratch = all
+	f.waterFill(all)
 	next := math.Inf(1)
-	for _, fl := range f.flows {
+	for _, fl := range all {
 		if fl.rate <= 0 {
 			continue
 		}
@@ -179,6 +205,19 @@ func (f *Fabric) reallocateEager() {
 // in admission order. Link working state lives inline on the Link records
 // (validity-stamped by wfPass), so the pass allocates nothing and touches
 // only the given flows' links.
+//
+// Each round finds the bottleneck share minShare over the links still
+// carrying unfrozen flows, then scans the unfrozen flows in order and
+// freezes at minShare every flow that, at its turn, crosses a link whose
+// live share is within a relative 1e-12 of minShare, subtracting the share
+// from each link on its path. Only flows on such links can freeze, so the
+// round marks (Flow.mark) the flows of the links that pass at its start,
+// re-tests a frozen flow's path links after the subtraction and marks the
+// flows of any link that passes now, and runs the live test on marked
+// flows alone. A link's share changes only when a flow crossing it
+// freezes, so every flow that passes the live test is marked before its
+// turn: the pass freezes the same flows, in the same order, with the same
+// arithmetic as testing every unfrozen flow.
 func (f *Fabric) waterFill(flows []*Flow) {
 	f.wfPass++
 	pass := f.wfPass
@@ -195,54 +234,77 @@ func (f *Fabric) waterFill(flows []*Flow) {
 			}
 		}
 	}
-	f.wfLinks = links
-	unfrozen := len(flows)
-	for _, fl := range flows {
-		fl.frozen = false
-	}
-	for unfrozen > 0 {
-		// Find the tightest link among links carrying unfrozen flows.
+	unfrozen := append(f.wfFlows[:0], flows...)
+	for len(unfrozen) > 0 {
+		// Keep the links still carrying unfrozen flows and find the
+		// tightest among them.
 		minShare := math.Inf(1)
+		n := 0
 		for _, l := range links {
 			if l.wfCnt > 0 {
+				links[n] = l
+				n++
 				if share := l.wfRem / float64(l.wfCnt); share < minShare {
 					minShare = share
 				}
 			}
 		}
+		links = links[:n]
 		if math.IsInf(minShare, 1) {
 			break
 		}
-		// Freeze every unfrozen flow crossing a link at the bottleneck share.
-		progressed := false
-		for _, fl := range flows {
-			if fl.frozen {
-				continue
+		f.epoch++
+		round := f.epoch
+		for _, l := range links {
+			if l.wfRem/float64(l.wfCnt) <= minShare*(1+1e-12) {
+				markFlows(l, round)
 			}
-			bottlenecked := false
-			for _, l := range fl.path {
-				if l.wfCnt > 0 && l.wfRem/float64(l.wfCnt) <= minShare*(1+1e-12) {
-					bottlenecked = true
-					break
-				}
-			}
-			if !bottlenecked {
+		}
+		// Freeze every unfrozen flow crossing a link at the bottleneck
+		// share, compacting the survivors in place.
+		kept := 0
+		for _, fl := range unfrozen {
+			if fl.mark != round || !bottlenecked(fl, minShare) {
+				unfrozen[kept] = fl
+				kept++
 				continue
 			}
 			fl.rate = minShare
-			fl.frozen = true
-			unfrozen--
 			for _, l := range fl.path {
 				l.wfRem -= minShare
 				if l.wfRem < 0 {
 					l.wfRem = 0
 				}
 				l.wfCnt--
+				if l.mark != round && l.wfCnt > 0 && l.wfRem/float64(l.wfCnt) <= minShare*(1+1e-12) {
+					markFlows(l, round)
+				}
 			}
-			progressed = true
 		}
-		if !progressed {
+		if kept == len(unfrozen) {
 			break // numerical safety: should not happen
 		}
+		unfrozen = unfrozen[:kept]
+	}
+	f.wfLinks = links[:0]
+	f.wfFlows = unfrozen[:0]
+}
+
+// bottlenecked is water-filling's live test: whether the flow crosses a
+// link that still carries unfrozen flows at the round's bottleneck share.
+func bottlenecked(fl *Flow, minShare float64) bool {
+	for _, l := range fl.path {
+		if l.wfCnt > 0 && l.wfRem/float64(l.wfCnt) <= minShare*(1+1e-12) {
+			return true
+		}
+	}
+	return false
+}
+
+// markFlows stamps the link and every flow crossing it with the round.
+func markFlows(l *Link, round uint64) {
+	l.mark = round
+	for _, s := range l.flows {
+		s.fl.mark = round
 	}
 }
