@@ -20,8 +20,8 @@ type Disk struct {
 	gen  uint64
 	rate float64
 
-	readBytes, writeBytes units.Bytes
-	ops                   int64
+	readBytes units.Bytes
+	ops       int64
 }
 
 // NewDisk returns an idle disk with the given measured characteristics.
@@ -51,7 +51,6 @@ func (d *Disk) Write(size units.Bytes, buffered bool, done func()) {
 		rate = d.spec.BufWrite
 		lat = d.spec.WriteLatency / 4 // amortized by write-back
 	}
-	d.writeBytes += size
 	d.submit(lat+rate.Seconds(size), done)
 }
 
@@ -102,6 +101,3 @@ func (d *Disk) Ops() int64 { return d.ops }
 
 // BytesRead reports cumulative read volume.
 func (d *Disk) BytesRead() units.Bytes { return d.readBytes }
-
-// BytesWritten reports cumulative write volume.
-func (d *Disk) BytesWritten() units.Bytes { return d.writeBytes }

@@ -85,9 +85,6 @@ func (l *Link) Bytes() units.Bytes {
 	return l.bytes
 }
 
-// Scale reports the link's capacity scale (1 healthy, 0 cut).
-func (l *Link) Scale() float64 { return l.scale }
-
 // Down reports whether the link is cut.
 func (l *Link) Down() bool { return l.scale == 0 }
 

@@ -380,9 +380,6 @@ func (p *ProcShare) Active() int { return len(p.tasks) }
 // Cores reports the effective core capacity.
 func (p *ProcShare) Cores() float64 { return p.cores }
 
-// Speed reports the per-core speed in work units per second.
-func (p *ProcShare) Speed() float64 { return p.speed }
-
 // Utilization reports busy cores / total cores at this instant.
 func (p *ProcShare) Utilization() float64 { return p.busyCores() / p.cores }
 

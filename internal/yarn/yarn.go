@@ -59,9 +59,6 @@ type NodeManager struct {
 	unusable bool
 }
 
-// Usable reports whether the scheduler may place containers here.
-func (nm *NodeManager) Usable() bool { return !nm.unusable }
-
 // Available reports free resources.
 func (nm *NodeManager) Available() NodeResources {
 	return NodeResources{MemoryMB: nm.capacity.MemoryMB - nm.usedMem, VCores: nm.capacity.VCores - nm.usedVC}
