@@ -256,7 +256,7 @@ func (f *Fabric) waterFill(flows []*Flow) {
 		f.epoch++
 		round := f.epoch
 		for _, l := range links {
-			if l.wfRem/float64(l.wfCnt) <= minShare*(1+1e-12) {
+			if atBottleneck(l, minShare) {
 				markFlows(l, round)
 			}
 		}
@@ -276,7 +276,7 @@ func (f *Fabric) waterFill(flows []*Flow) {
 					l.wfRem = 0
 				}
 				l.wfCnt--
-				if l.mark != round && l.wfCnt > 0 && l.wfRem/float64(l.wfCnt) <= minShare*(1+1e-12) {
+				if l.mark != round && atBottleneck(l, minShare) {
 					markFlows(l, round)
 				}
 			}
@@ -290,11 +290,17 @@ func (f *Fabric) waterFill(flows []*Flow) {
 	f.wfFlows = unfrozen[:0]
 }
 
-// bottlenecked is water-filling's live test: whether the flow crosses a
-// link that still carries unfrozen flows at the round's bottleneck share.
+// atBottleneck is water-filling's live test for a link: it still carries
+// unfrozen flows, and its share is within a relative 1e-12 of the round's
+// bottleneck share.
+func atBottleneck(l *Link, minShare float64) bool {
+	return l.wfCnt > 0 && l.wfRem/float64(l.wfCnt) <= minShare*(1+1e-12)
+}
+
+// bottlenecked reports whether the flow crosses a link at the bottleneck.
 func bottlenecked(fl *Flow, minShare float64) bool {
 	for _, l := range fl.path {
-		if l.wfCnt > 0 && l.wfRem/float64(l.wfCnt) <= minShare*(1+1e-12) {
+		if atBottleneck(l, minShare) {
 			return true
 		}
 	}
