@@ -168,7 +168,7 @@ func (fl *Flow) admit() {
 // insertLive adds the flow to the live list in seq order. Flows admit
 // after their path latency, so a flow started before the current tail may
 // admit after it: step back from the tail past every later-started flow,
-// which is a few places at most.
+// usually a few places.
 func (f *Fabric) insertLive(fl *Flow) {
 	at := f.tail
 	for at != nil && at.seq > fl.seq {

@@ -31,9 +31,10 @@ import (
 // Water-filling then examines, each round, only the flows on the round's
 // bottleneck links. Combined with the completion heap (doneheap.go) this
 // makes the whole per-event flow path — crediting, component discovery,
-// water-filling, rescheduling — proportional to the perturbed components:
-// an arrival or departure costs O(component × log) at most, where the logs
-// are the small-component sort and the heap re-key.
+// water-filling, rescheduling — scale with the perturbed components, not
+// the live set: beyond the rounds of water-filling, an arrival or departure
+// costs O(component log component) for a small component's sort and
+// O(component log flows) for the heap re-keys.
 //
 // THE LAZY-CREDITING INVARIANT. For every live flow, `remaining` and the
 // per-link byte counters are exact as of `lastT`, and the flow has been

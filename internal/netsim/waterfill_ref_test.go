@@ -288,13 +288,18 @@ func TestLiveListSeqOrder(t *testing.T) {
 					if len(live) != f.ActiveFlows() {
 						t.Fatalf("live list holds %d flows, ActiveFlows %d", len(live), f.ActiveFlows())
 					}
-					for i := 1; i < len(live); i++ {
-						if live[i-1].seq >= live[i].seq {
-							t.Fatalf("live list out of order at %d: seq %d before %d", i, live[i-1].seq, live[i].seq)
+					var last *Flow
+					for i, fl := range live {
+						if fl.prev != last {
+							t.Fatalf("live list back link broken at %d", i)
 						}
+						if last != nil && last.seq >= fl.seq {
+							t.Fatalf("live list out of order at %d: seq %d before %d", i, last.seq, fl.seq)
+						}
+						last = fl
 					}
-					if len(live) > 0 && f.tail != live[len(live)-1] || len(live) > 0 && live[0].prev != nil {
-						t.Fatal("live list ends inconsistent")
+					if f.tail != last {
+						t.Fatal("live list tail is not its last flow")
 					}
 					seqs := make(map[uint64]bool, len(live))
 					for i, fl := range live {
